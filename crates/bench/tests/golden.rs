@@ -52,3 +52,20 @@ fn mechanisms_suite_is_deterministic() {
     assert_eq!(first, second, "mechanisms suite must be byte-identical");
     assert!(first.starts_with("{\"schema\":\"rmodp-bench-mechanisms/1\""));
 }
+
+#[test]
+fn trader_suite_reproduces_committed_artifact() {
+    // A reduced scale of the CI configuration: plans, offers examined,
+    // the plan example and both engines' checksums are pinned.
+    let golden = fixture("BENCH_trader.json");
+    let produced =
+        rmodp_bench::trader_suite::run_suite(rmodp_bench::trader_suite::TraderBenchConfig {
+            offers: 5_000,
+            imports: 64,
+            seed: 42,
+        });
+    assert_eq!(
+        produced, golden,
+        "BENCH_trader.json drifted from the committed fixture"
+    );
+}
