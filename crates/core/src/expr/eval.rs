@@ -1,5 +1,12 @@
 //! Evaluator for the expression language.
+//!
+//! Evaluation works on [`Cow`]s: literals and variables are borrowed
+//! from the expression and the environment, and only computed values
+//! (arithmetic, concatenation, builtin results) are owned. A constraint
+//! like `ppm >= 40 and region == "bne"` therefore evaluates without a
+//! single allocation.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,32 +18,26 @@ use crate::value::Value;
 /// Implemented for [`Value`] (records resolve dotted paths), for
 /// `BTreeMap<String, Value>` and for `()` (the empty environment).
 pub trait Env {
-    /// Resolves a dotted variable path, or `None` if unbound.
-    fn lookup(&self, path: &[String]) -> Option<Value>;
+    /// Resolves a dotted variable path to the bound value, or `None` if
+    /// unbound.
+    fn lookup(&self, path: &[String]) -> Option<&Value>;
 }
 
 impl Env for Value {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
-        let segs: Vec<&str> = path.iter().map(String::as_str).collect();
-        self.path(&segs).cloned()
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        self.path(path)
     }
 }
 
 impl Env for BTreeMap<String, Value> {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
         let (head, rest) = path.split_first()?;
-        let root = self.get(head)?;
-        if rest.is_empty() {
-            Some(root.clone())
-        } else {
-            let segs: Vec<&str> = rest.iter().map(String::as_str).collect();
-            root.path(&segs).cloned()
-        }
+        self.get(head)?.path(rest)
     }
 }
 
 impl Env for () {
-    fn lookup(&self, _path: &[String]) -> Option<Value> {
+    fn lookup(&self, _path: &[String]) -> Option<&Value> {
         None
     }
 }
@@ -83,52 +84,59 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Evaluates an expression in an environment.
-pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value, EvalError> {
+pub fn eval<'a>(expr: &'a Expr, env: &'a dyn Env) -> Result<Cow<'a, Value>, EvalError> {
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Var(path) => env.lookup(path).ok_or_else(|| EvalError::Undefined {
-            path: path.join("."),
-        }),
-        Expr::SeqLit(items) => {
-            let vals: Result<Vec<Value>, EvalError> = items.iter().map(|e| eval(e, env)).collect();
-            Ok(Value::Seq(vals?))
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(path) => {
+            env.lookup(path)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::Undefined {
+                    path: path.join("."),
+                })
         }
-        Expr::Unary(UnOp::Neg, e) => match eval(e, env)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(x) => Ok(Value::Float(-x)),
-            other => Err(mismatch("negation", &other)),
+        Expr::SeqLit(items) => {
+            let vals: Result<Vec<Value>, EvalError> = items
+                .iter()
+                .map(|e| eval(e, env).map(Cow::into_owned))
+                .collect();
+            Ok(Cow::Owned(Value::Seq(vals?)))
+        }
+        Expr::Unary(UnOp::Neg, e) => match &*eval(e, env)? {
+            Value::Int(i) => Ok(Cow::Owned(Value::Int(-i))),
+            Value::Float(x) => Ok(Cow::Owned(Value::Float(-x))),
+            other => Err(mismatch("negation", other)),
         },
-        Expr::Unary(UnOp::Not, e) => match eval(e, env)? {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(mismatch("logical not", &other)),
+        Expr::Unary(UnOp::Not, e) => match &*eval(e, env)? {
+            Value::Bool(b) => Ok(Cow::Owned(Value::Bool(!b))),
+            other => Err(mismatch("logical not", other)),
         },
         Expr::Binary(BinOp::And, a, b) => {
             // Short-circuit: the right operand is not evaluated when the
             // left is false, so `exists(x) and x > 0` is safe.
-            match eval(a, env)? {
-                Value::Bool(false) => Ok(Value::Bool(false)),
+            match &*eval(a, env)? {
+                Value::Bool(false) => Ok(Cow::Owned(Value::Bool(false))),
                 Value::Bool(true) => expect_bool("and", eval(b, env)?),
-                other => Err(mismatch("and", &other)),
+                other => Err(mismatch("and", other)),
             }
         }
-        Expr::Binary(BinOp::Or, a, b) => match eval(a, env)? {
-            Value::Bool(true) => Ok(Value::Bool(true)),
+        Expr::Binary(BinOp::Or, a, b) => match &*eval(a, env)? {
+            Value::Bool(true) => Ok(Cow::Owned(Value::Bool(true))),
             Value::Bool(false) => expect_bool("or", eval(b, env)?),
-            other => Err(mismatch("or", &other)),
+            other => Err(mismatch("or", other)),
         },
         Expr::Binary(op, a, b) => {
             let va = eval(a, env)?;
             let vb = eval(b, env)?;
-            apply_binary(*op, va, vb)
+            apply_binary(*op, va, vb).map(Cow::Owned)
         }
-        Expr::Call(name, args) => call(name, args, env),
+        Expr::Call(name, args) => call(name, args, env).map(Cow::Owned),
     }
 }
 
-fn expect_bool(context: &str, v: Value) -> Result<Value, EvalError> {
-    match v {
+fn expect_bool<'a>(context: &str, v: Cow<'a, Value>) -> Result<Cow<'a, Value>, EvalError> {
+    match &*v {
         Value::Bool(_) => Ok(v),
-        other => Err(mismatch(context, &other)),
+        other => Err(mismatch(context, other)),
     }
 }
 
@@ -139,34 +147,47 @@ fn mismatch(context: &str, got: &Value) -> EvalError {
     }
 }
 
-fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+/// Applies a (non-short-circuit) binary operator. Operands arrive as
+/// [`Cow`]s so comparisons and membership tests read borrowed values;
+/// only concatenation takes ownership (and clones a borrowed left
+/// operand).
+fn apply_binary(op: BinOp, a: Cow<'_, Value>, b: Cow<'_, Value>) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
-        Add => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(y))),
-            (Value::Text(x), Value::Text(y)) => Ok(Value::Text(x + &y)),
-            (Value::Seq(mut x), Value::Seq(y)) => {
-                x.extend(y);
+        Add => match (&*a, &*b) {
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(*y))),
+            (Value::Text(_), Value::Text(y)) => {
+                let Value::Text(mut x) = a.into_owned() else {
+                    unreachable!("matched as text above")
+                };
+                x.push_str(y);
+                Ok(Value::Text(x))
+            }
+            (Value::Seq(_), Value::Seq(y)) => {
+                let Value::Seq(mut x) = a.into_owned() else {
+                    unreachable!("matched as a sequence above")
+                };
+                x.extend(y.iter().cloned());
                 Ok(Value::Seq(x))
             }
             (x, y) => numeric(op, x, y, |a, b| a + b),
         },
-        Sub => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_sub(y))),
+        Sub => match (&*a, &*b) {
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_sub(*y))),
             (x, y) => numeric(op, x, y, |a, b| a - b),
         },
-        Mul => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_mul(y))),
+        Mul => match (&*a, &*b) {
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_mul(*y))),
             (x, y) => numeric(op, x, y, |a, b| a * b),
         },
-        Div => match (a, b) {
+        Div => match (&*a, &*b) {
             (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_div(y))),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_div(*y))),
             (x, y) => numeric(op, x, y, |a, b| a / b),
         },
-        Rem => match (a, b) {
+        Rem => match (&*a, &*b) {
             (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_rem(y))),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_rem(*y))),
             (x, y) => numeric(op, x, y, |a, b| a % b),
         },
         Eq => Ok(Value::Bool(loose_eq(&a, &b))),
@@ -182,9 +203,9 @@ fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
             };
             Ok(Value::Bool(pass))
         }
-        In => match &b {
+        In => match &*b {
             Value::Seq(items) => Ok(Value::Bool(items.iter().any(|v| loose_eq(v, &a)))),
-            Value::Text(hay) => match &a {
+            Value::Text(hay) => match &*a {
                 Value::Text(needle) => Ok(Value::Bool(hay.contains(needle.as_str()))),
                 other => Err(mismatch("in (substring)", other)),
             },
@@ -194,7 +215,12 @@ fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     }
 }
 
-fn numeric(op: BinOp, a: Value, b: Value, f: impl Fn(f64, f64) -> f64) -> Result<Value, EvalError> {
+fn numeric(
+    op: BinOp,
+    a: &Value,
+    b: &Value,
+    f: impl Fn(f64, f64) -> f64,
+) -> Result<Value, EvalError> {
     match (a.as_float(), b.as_float()) {
         (Some(x), Some(y)) => Ok(Value::Float(f(x, y))),
         _ => Err(EvalError::TypeMismatch {
@@ -248,8 +274,8 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
         };
     }
 
-    let vals: Result<Vec<Value>, EvalError> = args.iter().map(|e| eval(e, env)).collect();
-    let vals = vals?;
+    let vals: Result<Vec<Cow<'_, Value>>, EvalError> = args.iter().map(|e| eval(e, env)).collect();
+    let mut vals = vals?;
     let arity = |n: usize| -> Result<(), EvalError> {
         if vals.len() == n {
             Ok(())
@@ -264,7 +290,7 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
     match name {
         "len" => {
             arity(1)?;
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Text(s) => Ok(Value::Int(s.chars().count() as i64)),
                 Value::Seq(items) => Ok(Value::Int(items.len() as i64)),
                 Value::Blob(b) => Ok(Value::Int(b.len() as i64)),
@@ -273,7 +299,7 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
         }
         "abs" => {
             arity(1)?;
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
                 Value::Float(x) => Ok(Value::Float(x.abs())),
                 other => Err(mismatch("abs", other)),
@@ -289,11 +315,11 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
                     ord == std::cmp::Ordering::Greater
                 }
             };
-            Ok(vals[if take_first { 0 } else { 1 }].clone())
+            Ok(vals.swap_remove(usize::from(!take_first)).into_owned())
         }
         "contains" => {
             arity(2)?;
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Text(hay), Value::Text(needle)) => {
                     Ok(Value::Bool(hay.contains(needle.as_str())))
                 }
@@ -303,7 +329,7 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
         }
         "starts_with" => {
             arity(2)?;
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Text(hay), Value::Text(prefix)) => {
                     Ok(Value::Bool(hay.starts_with(prefix.as_str())))
                 }

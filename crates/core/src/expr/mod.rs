@@ -33,6 +33,7 @@ mod infer;
 mod parser;
 mod token;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -41,7 +42,7 @@ use crate::value::Value;
 pub use analyze::{Atom, Comparison};
 pub use eval::{Env, EvalError};
 pub use infer::InferError;
-pub use parser::ParseError;
+pub use parser::{ParseError, ParseErrorKind, MAX_DEPTH};
 
 /// A parsed expression.
 ///
@@ -168,6 +169,18 @@ impl Expr {
     /// Returns an [`EvalError`] for unbound variables, operand type
     /// mismatches, division by zero, or bad builtin arity.
     pub fn eval(&self, env: &dyn Env) -> Result<Value, EvalError> {
+        eval::eval(self, env).map(Cow::into_owned)
+    }
+
+    /// Evaluates without taking ownership of the result: a literal or
+    /// a variable comes back borrowed from the expression or the
+    /// environment, so reading a property (a preference score, say)
+    /// clones nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::eval`].
+    pub fn eval_ref<'a>(&'a self, env: &'a dyn Env) -> Result<Cow<'a, Value>, EvalError> {
         eval::eval(self, env)
     }
 
@@ -178,8 +191,8 @@ impl Expr {
     ///
     /// As [`Self::eval`], plus a type mismatch if the result is not a bool.
     pub fn eval_bool(&self, env: &dyn Env) -> Result<bool, EvalError> {
-        match self.eval(env)? {
-            Value::Bool(b) => Ok(b),
+        match &*eval::eval(self, env)? {
+            Value::Bool(b) => Ok(*b),
             other => Err(EvalError::TypeMismatch {
                 context: "predicate result".to_owned(),
                 got: other.kind().to_owned(),
@@ -307,14 +320,8 @@ impl Scope {
 }
 
 impl Env for Scope {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
-        let (head, rest) = path.split_first()?;
-        let root = self.bindings.get(head)?;
-        if rest.is_empty() {
-            return Some(root.clone());
-        }
-        let segs: Vec<&str> = rest.iter().map(String::as_str).collect();
-        root.path(&segs).cloned()
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        self.bindings.lookup(path)
     }
 }
 
@@ -356,8 +363,8 @@ mod tests {
         let mut s = Scope::new();
         s.bind("x", Value::Int(1));
         s.bind("r", Value::record([("y", Value::Int(2))]));
-        assert_eq!(s.lookup(&["x".into()]), Some(Value::Int(1)));
-        assert_eq!(s.lookup(&["r".into(), "y".into()]), Some(Value::Int(2)));
+        assert_eq!(s.lookup(&["x".into()]), Some(&Value::Int(1)));
+        assert_eq!(s.lookup(&["r".into(), "y".into()]), Some(&Value::Int(2)));
         assert_eq!(s.lookup(&["r".into(), "z".into()]), None);
         assert_eq!(s.lookup(&["missing".into()]), None);
     }

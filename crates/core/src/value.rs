@@ -157,13 +157,13 @@ impl Value {
         }
     }
 
-    /// Resolves a dotted path through nested records.
-    pub fn path(&self, segments: &[&str]) -> Option<&Value> {
-        let mut cur = self;
-        for seg in segments {
-            cur = cur.field(seg)?;
-        }
-        Some(cur)
+    /// Resolves a dotted path through nested records. Segments may be
+    /// `&str`s or the `String`s of a parsed variable path; the walk
+    /// borrows and allocates nothing.
+    pub fn path<S: AsRef<str>>(&self, segments: &[S]) -> Option<&Value> {
+        segments
+            .iter()
+            .try_fold(self, |cur, seg| cur.field(seg.as_ref()))
     }
 
     /// A short name for the value's shape, used in error messages.

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
-use rmodp_core::expr::Expr;
+use rmodp_core::expr::{Expr, ParseErrorKind, MAX_DEPTH};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 use rmodp_core::value::Value;
 
@@ -162,5 +162,40 @@ proptest! {
     #[test]
     fn dtype_check_never_panics(v in arb_value(), t in arb_dtype()) {
         let _ = t.check(&v);
+    }
+
+    #[test]
+    fn hostile_nesting_parses_to_an_error_not_a_stack_overflow(
+        shape in 0usize..6,
+        depth in prop_oneof![0usize..2 * MAX_DEPTH, 0usize..100_000],
+    ) {
+        // Each shape nests `depth` levels around one leaf: brackets,
+        // sequences, calls, prefix operators, and left-deep chains.
+        let (open, close, sep) = [
+            ("(", ")", ""),
+            ("[", "]", ""),
+            ("abs(", ")", ""),
+            ("-", "", ""),
+            ("not ", "", ""),
+            ("", "", "x + "),
+        ][shape];
+        let src = format!(
+            "{}{}x{}",
+            open.repeat(depth),
+            sep.repeat(depth),
+            close.repeat(depth)
+        );
+        match Expr::parse(&src) {
+            Ok(e) => {
+                prop_assert!(depth <= MAX_DEPTH, "depth {} accepted", depth);
+                // Shallow enough to render and evaluate recursively.
+                let _ = e.eval(&Value::record([("x", Value::Int(1))]));
+                prop_assert!(!e.to_string().is_empty());
+            }
+            Err(err) => {
+                prop_assert_eq!(err.kind, ParseErrorKind::TooDeep, "{}", err);
+                prop_assert!(depth >= MAX_DEPTH, "depth {} refused", depth);
+            }
+        }
     }
 }

@@ -17,7 +17,9 @@
 //!   lattice;
 //! - [`store`] — the indexed offer repository: a service-type index plus
 //!   declared per-property secondary indexes (hash for equality, B-tree
-//!   for ranges), all with deterministic iteration order. Treating the
+//!   for ranges), all with deterministic iteration order. Every posting
+//!   list is an [`idset::IdSet`], a compressed id set in Roaring layout
+//!   (sorted arrays for sparse chunks, bitmaps for dense ones). Treating the
 //!   repository as a first-class engineering-viewpoint store (rather
 //!   than a flat list the computational viewpoint scans) is what lets
 //!   trading scale;
@@ -68,6 +70,7 @@
 //! ```
 
 pub mod federation;
+pub mod idset;
 pub mod offer;
 pub mod plan;
 pub mod shard;
@@ -77,6 +80,7 @@ pub mod trader;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::federation::Federation;
+    pub use crate::idset::IdSet;
     pub use crate::offer::ServiceOffer;
     pub use crate::plan::QueryPlan;
     pub use crate::shard::ShardedFederation;

@@ -15,31 +15,40 @@
 //!    if they are within `INTERSECT_FACTOR`× of the driver — beyond
 //!    that, re-checking them per candidate (which the residual does
 //!    anyway) is cheaper than materialising them.
-//! 3. **Intersection.** Used paths are materialised as ascending
-//!    `OfferId` runs and merge-intersected, yielding candidates in
+//! 3. **Intersection.** Each used path is the union of its posting
+//!    lists ([`IdSet`]s: a range or an in-set spans several keys), and
+//!    the paths are intersected word by word. Candidates iterate in
 //!    ascending id order — the same order the naive scan visits
 //!    offers, which is what keeps planned matching byte-identical.
-//! 4. **Residual filter** (performed by the caller, `Trader::import`):
+//! 4. **Type mask.** The union of the conformant type buckets is
+//!    returned with the candidates. Index paths can surface offers of
+//!    any type, so the executor keeps only candidates in the mask —
+//!    the same filter as comparing each offer's type string, by the
+//!    store's type-bucket invariant, but decided before any offer is
+//!    fetched.
+//! 5. **Residual filter** (performed by the caller, `Trader::import`):
 //!    the *full* original constraint is re-evaluated on every
-//!    candidate. Index lookups are deliberately over-approximate
-//!    (inclusive bounds at float boundaries, lossy `i64→f64` key
-//!    unification), so the residual is what makes the planner exactly
-//!    — not just approximately — equivalent to the scan.
+//!    candidate that passes the mask. Index lookups are deliberately
+//!    over-approximate (inclusive bounds at float boundaries, lossy
+//!    `i64→f64` key unification), so the residual is what makes the
+//!    planner exactly — not just approximately — equivalent to the
+//!    scan.
 //!
 //! When no atom is servable (no constraint, no declared indexes, or
 //! only opaque conjuncts), the plan is a transparent **fallback**: the
 //! type-bucket union alone, which degenerates to the original full
 //! scan restricted to type-conformant offers.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Bound;
 
 use rmodp_core::expr::{Atom, BinOp};
-use rmodp_core::id::OfferId;
 use rmodp_core::value::Value;
 use rmodp_typerepo::TypeRepository;
 
+use crate::idset::IdSet;
 use crate::store::{IndexKind, OfferStore, PropKey};
 use crate::trader::ImportRequest;
 
@@ -149,24 +158,37 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// The planner's output: the plan, the candidate ids in ascending
-/// order, and the matched-type set for the caller's per-candidate type
-/// check.
+/// The planner's output: the plan, the candidate ids, and the type
+/// mask the executor filters them with. Where one posting list is the
+/// whole answer (a single-key path, a single conformant type), the set
+/// is borrowed from the store rather than copied.
 #[derive(Debug)]
-pub struct PlannedImport {
+pub struct PlannedImport<'a> {
     /// The compiled, explainable plan.
     pub plan: QueryPlan,
-    /// Candidate offer ids, ascending.
-    pub candidates: Vec<OfferId>,
-    /// The service types that conform to the request.
-    pub matched_types: BTreeSet<String>,
+    /// Candidate offer ids (iterated ascending); `plan.candidates` is
+    /// their count.
+    pub candidates: Cow<'a, IdSet>,
+    /// The union of the conformant type buckets: by the store's
+    /// type-bucket invariant, exactly the live offers whose service
+    /// type conforms to the request.
+    pub type_mask: Cow<'a, IdSet>,
 }
 
-/// One access path with its materialisable posting sets.
+/// One access path with its posting lists (pairwise disjoint: one per
+/// index key).
 struct Path<'a> {
     step: IndexStep,
-    postings: Vec<&'a BTreeSet<OfferId>>,
+    postings: Vec<&'a IdSet>,
     count: usize,
+}
+
+/// The union of disjoint posting lists, borrowing a lone list.
+fn union<'a>(postings: &[&'a IdSet]) -> Cow<'a, IdSet> {
+    match postings {
+        [one] => Cow::Borrowed(one),
+        _ => Cow::Owned(IdSet::union_all(postings)),
+    }
 }
 
 /// Collects the posting sets for one sargable atom, or `None` when the
@@ -176,7 +198,7 @@ struct Path<'a> {
 fn atom_postings<'a>(
     store: &'a OfferStore,
     atom: &Atom,
-) -> Option<(String, IndexKind, String, Vec<&'a BTreeSet<OfferId>>)> {
+) -> Option<(String, IndexKind, String, Vec<&'a IdSet>)> {
     let [property] = atom.path() else {
         return None; // only top-level properties are indexed
     };
@@ -200,15 +222,21 @@ fn atom_postings<'a>(
                             let key = PropKey::of(&c.rhs)?;
                             let (num_lo, num_hi) = PropKey::num_band();
                             let (lo, hi) = if upper { (num_lo, key) } else { (key, num_hi) };
-                            index.range_postings(Bound::Included(&lo), Bound::Included(&hi))
+                            index
+                                .range_postings(Bound::Included(&lo), Bound::Included(&hi))
+                                .collect()
                         }
                         Value::Text(s) => {
                             let key = PropKey::Text(s.clone());
                             if upper {
                                 let lo = PropKey::Text(String::new());
-                                index.range_postings(Bound::Included(&lo), Bound::Included(&key))
+                                index
+                                    .range_postings(Bound::Included(&lo), Bound::Included(&key))
+                                    .collect()
                             } else {
-                                index.range_postings(Bound::Included(&key), Bound::Unbounded)
+                                index
+                                    .range_postings(Bound::Included(&key), Bound::Unbounded)
+                                    .collect()
                             }
                         }
                         // Ordering a bool (or anything else) against a
@@ -238,39 +266,12 @@ fn atom_postings<'a>(
     }
 }
 
-/// Materialises a path's posting sets as one ascending id run. The
-/// sets are pairwise disjoint (distinct keys of one index), so a
-/// concat-and-sort is enough.
-fn materialise(postings: &[&BTreeSet<OfferId>]) -> Vec<OfferId> {
-    let mut ids: Vec<OfferId> = postings.iter().flat_map(|s| s.iter().copied()).collect();
-    ids.sort_unstable();
-    ids
-}
-
-/// Merge-intersects two ascending runs.
-fn intersect(a: &[OfferId], b: &[OfferId]) -> Vec<OfferId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Compiles and executes the candidate-producing half of an import.
-pub fn plan_import(
-    store: &OfferStore,
+pub fn plan_import<'a>(
+    store: &'a OfferStore,
     request: &ImportRequest,
     repo: Option<&TypeRepository>,
-) -> PlannedImport {
+) -> PlannedImport<'a> {
     // Matching type buckets: the requested type plus, under subtype
     // substitution, every present subtype the repository derives.
     let types: Vec<(String, usize)> = store
@@ -282,8 +283,12 @@ pub fn plan_import(
         })
         .map(|(t, n)| (t.to_owned(), n))
         .collect();
-    let matched_types: BTreeSet<String> = types.iter().map(|(t, _)| t.clone()).collect();
     let type_total: usize = types.iter().map(|(_, n)| n).sum();
+    let buckets: Vec<&IdSet> = types
+        .iter()
+        .filter_map(|(t, _)| store.type_postings(t))
+        .collect();
+    let type_mask = union(&buckets);
 
     // Secondary-index access paths from the constraint's atoms.
     let mut paths: Vec<Path<'_>> = Vec::new();
@@ -311,27 +316,20 @@ pub fn plan_import(
 
     let fallback = paths.is_empty();
     let candidates = if fallback {
-        // Type buckets are pairwise disjoint: concat + sort.
-        let mut ids: Vec<OfferId> = matched_types
-            .iter()
-            .filter_map(|t| store.type_postings(t))
-            .flat_map(|s| s.iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids
+        type_mask.clone()
     } else {
         let driver_count = paths[0].count;
-        let mut current: Option<Vec<OfferId>> = None;
+        let mut current: Option<Cow<'a, IdSet>> = None;
         for path in &mut paths {
             let within_budget = path.count <= driver_count.saturating_mul(INTERSECT_FACTOR);
             match &mut current {
                 None => {
                     path.step.used = true;
-                    current = Some(materialise(&path.postings));
+                    current = Some(union(&path.postings));
                 }
                 Some(ids) if within_budget && !ids.is_empty() => {
                     path.step.used = true;
-                    *ids = intersect(ids, &materialise(&path.postings));
+                    *ids = Cow::Owned(ids.intersection(&union(&path.postings)));
                 }
                 Some(_) => {} // residual filter re-checks this atom
             }
@@ -352,7 +350,7 @@ pub fn plan_import(
     PlannedImport {
         plan,
         candidates,
-        matched_types,
+        type_mask,
     }
 }
 
@@ -360,7 +358,7 @@ pub fn plan_import(
 mod tests {
     use super::*;
     use crate::offer::ServiceOffer;
-    use rmodp_core::id::InterfaceId;
+    use rmodp_core::id::{InterfaceId, OfferId};
 
     fn store() -> OfferStore {
         let mut s = OfferStore::new();
@@ -396,7 +394,9 @@ mod tests {
         let planned = plan_import(&s, &ImportRequest::new("Printer"), None);
         assert!(planned.plan.fallback);
         assert_eq!(planned.candidates.len(), 75);
-        assert!(planned.candidates.windows(2).all(|w| w[0] < w[1]));
+        let ids: Vec<_> = planned.candidates.iter().collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(*planned.candidates, *planned.type_mask);
     }
 
     #[test]
@@ -406,7 +406,10 @@ mod tests {
         assert!(!planned.plan.fallback);
         assert_eq!(planned.plan.steps.len(), 1);
         assert!(planned.plan.steps[0].used);
-        assert_eq!(planned.candidates.len(), 50); // both types; residual fixes type
+        assert_eq!(planned.candidates.len(), 50); // both types; the mask fixes type
+        assert_eq!(planned.type_mask.len(), 75);
+        let printers = planned.candidates.intersection(&planned.type_mask);
+        assert_eq!(printers.len(), 25);
     }
 
     #[test]
@@ -435,6 +438,23 @@ mod tests {
     fn incomparable_range_prunes_everything() {
         let s = store();
         let planned = plan_import(&s, &req("ppm < true"), None);
+        assert!(!planned.plan.fallback);
+        assert!(planned.candidates.is_empty());
+    }
+
+    #[test]
+    fn an_inverted_key_band_is_empty_not_a_panic() {
+        // Only an expression built in code can carry a NaN literal; its
+        // key sorts above +inf, so `ppm >= NaN` asks for the band
+        // [NaN, +inf], whose start lies past its end.
+        let s = store();
+        let mut request = ImportRequest::new("Printer");
+        request.constraint = Some(rmodp_core::expr::Expr::Binary(
+            BinOp::Ge,
+            Box::new(rmodp_core::expr::Expr::var("ppm")),
+            Box::new(rmodp_core::expr::Expr::lit(f64::NAN)),
+        ));
+        let planned = plan_import(&s, &request, None);
         assert!(!planned.plan.fallback);
         assert!(planned.candidates.is_empty());
     }

@@ -6,14 +6,28 @@
 //! a directory needs real index structures, not a linear scan. The
 //! store keeps:
 //!
-//! - the **primary map** `OfferId → ServiceOffer` (a `BTreeMap`, so
-//!   iteration order is ascending offer id — the same order the
+//! - the **primary map** `OfferId → Arc<ServiceOffer>` (a `BTreeMap`,
+//!   so iteration order is ascending offer id — the same order the
 //!   original scan matcher observed, which is what keeps index-backed
-//!   matching byte-identical to the scan);
+//!   matching byte-identical to the scan). Offers are shared, so an
+//!   import's matches reference the stored offers instead of copying
+//!   them;
 //! - the **service-type index** `type name → id set`;
 //! - optional **per-property secondary indexes**, either exact-match
 //!   hash maps or ordered B-tree maps ([`IndexKind`]), over the
 //!   offers' top-level scalar properties.
+//!
+//! Every posting list — a type bucket or the ids under one index key —
+//! is an [`IdSet`]: a compressed, ascending id set.
+//!
+//! # The type-bucket invariant
+//!
+//! An id is in `type_postings(t)` exactly when the stored offer's
+//! `service_type` is `t`. Every mutation (insert, remove) updates both
+//! sides together, and no method changes an offer's type in place. The
+//! planner relies on it: testing an id against the union of the
+//! conformant buckets is the same filter as comparing the offer's type
+//! string, and needs no fetch.
 //!
 //! # Key normalisation and soundness
 //!
@@ -29,13 +43,15 @@
 //! non-match (harmless), but never misses a match — see
 //! `DESIGN.md` §Trader for the full argument.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use rmodp_core::id::OfferId;
 use rmodp_core::value::Value;
 
+use crate::idset::IdSet;
 use crate::offer::ServiceOffer;
 
 /// A normalised, totally ordered secondary-index key.
@@ -114,8 +130,8 @@ impl fmt::Display for IndexKind {
 
 #[derive(Debug)]
 enum Postings {
-    Hash(HashMap<PropKey, BTreeSet<OfferId>>),
-    Ordered(BTreeMap<PropKey, BTreeSet<OfferId>>),
+    Hash(HashMap<PropKey, IdSet>),
+    Ordered(BTreeMap<PropKey, IdSet>),
 }
 
 /// One secondary index over a top-level property.
@@ -172,11 +188,11 @@ impl PropertyIndex {
     fn remove(&mut self, key: &PropKey, id: OfferId) {
         let emptied = match &mut self.postings {
             Postings::Hash(m) => m.get_mut(key).map(|s| {
-                s.remove(&id);
+                s.remove(id);
                 s.is_empty()
             }),
             Postings::Ordered(m) => m.get_mut(key).map(|s| {
-                s.remove(&id);
+                s.remove(id);
                 s.is_empty()
             }),
         };
@@ -193,8 +209,10 @@ impl PropertyIndex {
         }
     }
 
-    /// The posting set for an exact key, if any.
-    pub fn eq_postings(&self, key: &PropKey) -> Option<&BTreeSet<OfferId>> {
+    /// The posting list for an exact key: the ids of the offers whose
+    /// property normalises to `key`, as a compressed [`IdSet`]
+    /// (ascending). `None` when no live offer has the key.
+    pub fn eq_postings(&self, key: &PropKey) -> Option<&IdSet> {
         match &self.postings {
             Postings::Hash(m) => m.get(key),
             Postings::Ordered(m) => m.get(key),
@@ -206,24 +224,34 @@ impl PropertyIndex {
         matches!(self.postings, Postings::Ordered(_))
     }
 
-    /// The posting sets in a key band (ordered indexes only),
-    /// ascending by key.
-    pub fn range_postings(
-        &self,
+    /// The posting lists of the keys in a band, ascending by key. They
+    /// are pairwise disjoint (one per distinct key); the planner unions
+    /// them with [`IdSet::union_all`]. Empty for a hash index, and for
+    /// an empty band (`lo` above `hi`).
+    pub fn range_postings<'a>(
+        &'a self,
         lo: Bound<&PropKey>,
         hi: Bound<&PropKey>,
-    ) -> Vec<&BTreeSet<OfferId>> {
-        match &self.postings {
-            Postings::Ordered(m) => m.range((lo, hi)).map(|(_, s)| s).collect(),
-            Postings::Hash(_) => Vec::new(),
-        }
+    ) -> impl Iterator<Item = &'a IdSet> + 'a {
+        let empty = match (lo, hi) {
+            (Bound::Included(a), Bound::Included(b))
+            | (Bound::Included(a), Bound::Excluded(b))
+            | (Bound::Excluded(a), Bound::Included(b)) => a > b,
+            (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
+            _ => false,
+        };
+        let range = match &self.postings {
+            Postings::Ordered(m) if !empty => Some(m.range::<PropKey, _>((lo, hi))),
+            _ => None,
+        };
+        range.into_iter().flatten().map(|(_, s)| s)
     }
 
     /// The number of offers in a key band (ordered indexes only).
     /// Exact and cheap (posting sizes are summed without touching
     /// offers) — the planner's selectivity estimate.
     pub fn range_count(&self, lo: Bound<&PropKey>, hi: Bound<&PropKey>) -> usize {
-        self.range_postings(lo, hi).iter().map(|s| s.len()).sum()
+        self.range_postings(lo, hi).map(IdSet::len).sum()
     }
 }
 
@@ -231,8 +259,8 @@ impl PropertyIndex {
 /// declared per-property secondary indexes.
 #[derive(Debug, Default)]
 pub struct OfferStore {
-    offers: BTreeMap<OfferId, ServiceOffer>,
-    by_type: BTreeMap<String, BTreeSet<OfferId>>,
+    offers: BTreeMap<OfferId, Arc<ServiceOffer>>,
+    by_type: BTreeMap<String, IdSet>,
     indexes: BTreeMap<String, PropertyIndex>,
 }
 
@@ -252,13 +280,17 @@ impl OfferStore {
         self.offers.is_empty()
     }
 
-    /// One offer by id.
-    pub fn get(&self, id: OfferId) -> Option<&ServiceOffer> {
+    /// One offer by id. The offer is shared: cloning the [`Arc`]
+    /// (as an import does for each returned match) copies no property
+    /// data, and a later [`Self::replace_properties`] leaves clones
+    /// already handed out unchanged.
+    pub fn get(&self, id: OfferId) -> Option<&Arc<ServiceOffer>> {
         self.offers.get(&id)
     }
 
-    /// All offers, ascending by id — the canonical match order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServiceOffer> {
+    /// All offers, ascending by id — the canonical match order. Items
+    /// are the shared offers, as for [`Self::get`].
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<ServiceOffer>> {
         self.offers.values()
     }
 
@@ -267,8 +299,9 @@ impl OfferStore {
         self.by_type.iter().map(|(t, s)| (t.as_str(), s.len()))
     }
 
-    /// The id set for one service type.
-    pub fn type_postings(&self, service_type: &str) -> Option<&BTreeSet<OfferId>> {
+    /// The id set for one service type: exactly the live offers whose
+    /// `service_type` is `service_type` (see the module docs).
+    pub fn type_postings(&self, service_type: &str) -> Option<&IdSet> {
         self.by_type.get(service_type)
     }
 
@@ -308,14 +341,14 @@ impl OfferStore {
                 index.insert(key, id);
             }
         }
-        self.offers.insert(id, offer);
+        self.offers.insert(id, Arc::new(offer));
     }
 
     /// Removes an offer, unthreading it from every index.
-    pub fn remove(&mut self, id: OfferId) -> Option<ServiceOffer> {
+    pub fn remove(&mut self, id: OfferId) -> Option<Arc<ServiceOffer>> {
         let offer = self.offers.remove(&id)?;
         if let Some(set) = self.by_type.get_mut(&offer.service_type) {
-            set.remove(&id);
+            set.remove(id);
             if set.is_empty() {
                 self.by_type.remove(&offer.service_type);
             }
@@ -348,7 +381,7 @@ impl OfferStore {
                 }
             }
         }
-        offer.properties = properties;
+        Arc::make_mut(offer).properties = properties;
         true
     }
 }

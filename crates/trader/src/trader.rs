@@ -9,8 +9,10 @@
 //! (see `tests/plan_equivalence.rs`) and the baseline `trader_bench`
 //! measures.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use rmodp_core::expr::{Expr, ParseError};
 use rmodp_core::id::{IdGen, InterfaceId, OfferId};
@@ -166,8 +168,11 @@ impl ImportRequest {
 /// One import match.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
-    /// The matching offer.
-    pub offer: ServiceOffer,
+    /// The matching offer, shared with the trader's store: a match is
+    /// a reference, not a copy. It is a snapshot — a later
+    /// [`Trader::modify`] gives the stored offer new properties
+    /// (copy-on-write) and leaves this one as it was.
+    pub offer: Arc<ServiceOffer>,
     /// The preference score used for ordering (0 for `FirstFound`).
     pub score: f64,
 }
@@ -192,56 +197,52 @@ pub struct TraderStats {
     pub plans_fallback: u64,
 }
 
-/// Preference-orders matches in place: ties (and `FirstFound`) keep
-/// ascending offer-id order, which is the store's iteration order.
-pub(crate) fn order_matches(matches: &mut [Match], preference: &Preference) {
-    match preference {
-        Preference::FirstFound => {}
-        Preference::Max(_) => matches.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-        Preference::Min(_) => matches.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-    }
-}
-
 /// The per-offer residual: constraint-variable binding, constraint
 /// evaluation, preference scoring. Identical between the planned path
 /// and the reference scan — that sharing is half of the equivalence
 /// argument (the other half is candidate ordering; see DESIGN.md).
+/// Returns the offer's score, or `None` if it does not match.
 ///
 /// Offers whose properties do not bind every constraint variable, or on
 /// which an expression fails to evaluate, simply do not match — a
-/// malformed *offer* must not fail the *import*.
-fn residual_match(
+/// malformed *offer* must not fail the *import*. Evaluation borrows the
+/// offer's properties and clones nothing.
+fn residual_score(
     offer: &ServiceOffer,
     request: &ImportRequest,
     constraint_vars: &[Vec<String>],
-) -> Option<Match> {
+) -> Option<f64> {
     if !offer.binds(constraint_vars) {
         return None;
     }
     if let Some(constraint) = &request.constraint {
-        match constraint.eval_bool(&offer.properties) {
-            Ok(true) => {}
-            _ => return None,
+        if constraint.eval_bool(&offer.properties) != Ok(true) {
+            return None;
         }
     }
-    let score = match &request.preference {
-        Preference::FirstFound => 0.0,
-        Preference::Max(e) | Preference::Min(e) => {
-            e.eval(&offer.properties).ok().and_then(|v| v.as_float())?
-        }
-    };
-    Some(Match {
-        offer: offer.clone(),
-        score,
-    })
+    match &request.preference {
+        Preference::FirstFound => Some(0.0),
+        Preference::Max(e) | Preference::Min(e) => e.eval_ref(&offer.properties).ok()?.as_float(),
+    }
+}
+
+/// Turns an engine's hits — `(score, offer)` in ascending offer-id
+/// order — into the import result: preference order (ties, and
+/// `FirstFound`, keep ascending id order), the cardinality bound, and
+/// only then a shared reference per surviving offer.
+fn finish(mut hits: Vec<(f64, &Arc<ServiceOffer>)>, request: &ImportRequest) -> Vec<Match> {
+    match request.preference {
+        Preference::FirstFound => {}
+        Preference::Max(_) => hits.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id))),
+        Preference::Min(_) => hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id))),
+    }
+    hits.truncate(request.max_matches);
+    hits.into_iter()
+        .map(|(score, offer)| Match {
+            offer: Arc::clone(offer),
+            score,
+        })
+        .collect()
 }
 
 /// A trader: an indexed repository of service offers with type-safe,
@@ -423,7 +424,7 @@ impl Trader {
             .remove(offer)
             .ok_or(TraderError::UnknownOffer { offer })?;
         self.stats.withdrawals += 1;
-        Ok(o)
+        Ok(Arc::unwrap_or_clone(o))
     }
 
     /// Replaces an offer's properties (e.g. a server updating its load).
@@ -446,7 +447,7 @@ impl Trader {
 
     /// Looks up an offer.
     pub fn offer(&self, offer: OfferId) -> Option<&ServiceOffer> {
-        self.store.get(offer)
+        self.store.get(offer).map(Arc::as_ref)
     }
 
     /// Compiles an import request into a [`QueryPlan`] without running
@@ -489,25 +490,26 @@ impl Trader {
             .as_ref()
             .map(|c| c.variables())
             .unwrap_or_default();
-        let mut matches: Vec<Match> = Vec::new();
-        for id in &planned.candidates {
-            self.stats.offers_considered += 1;
-            let Some(offer) = self.store.get(*id) else {
-                continue;
-            };
-            // Candidates come from posting sets, not type buckets: an
-            // index can surface offers of other service types, so the
-            // type check stays per-offer (against the precomputed
-            // conformant set).
-            if !planned.matched_types.contains(&offer.service_type) {
-                continue;
-            }
-            if let Some(m) = residual_match(offer, request, &constraint_vars) {
-                matches.push(m);
-            }
-        }
-        order_matches(&mut matches, &request.preference);
-        matches.truncate(request.max_matches);
+        // Every plan candidate counts as considered. Candidates come from
+        // posting lists, not type buckets, so an index can surface offers
+        // of other service types: the type mask drops those before any
+        // offer is fetched (a fallback plan's candidates are the mask).
+        self.stats.offers_considered += planned.candidates.len() as u64;
+        let conformant = if planned.plan.fallback {
+            planned.candidates
+        } else {
+            Cow::Owned(planned.candidates.intersection(&planned.type_mask))
+        };
+        let hits = conformant.iter().filter_map(|id| {
+            let offer = self.store.get(id)?;
+            residual_score(offer, request, &constraint_vars).map(|score| (score, offer))
+        });
+        let matches = match request.preference {
+            // Without a preference the first hits in id order are the
+            // result, so the rest need not be evaluated.
+            Preference::FirstFound => finish(hits.take(request.max_matches).collect(), request),
+            _ => finish(hits.collect(), request),
+        };
 
         event(Layer::Trader, EventKind::TraderLookup)
             .in_context()
@@ -539,7 +541,7 @@ impl Trader {
             .as_ref()
             .map(|c| c.variables())
             .unwrap_or_default();
-        let mut matches: Vec<Match> = Vec::new();
+        let mut hits = Vec::new();
         for offer in self.store.iter() {
             self.stats.offers_considered += 1;
             let type_ok = offer.service_type == request.service_type
@@ -549,12 +551,11 @@ impl Trader {
             if !type_ok {
                 continue;
             }
-            if let Some(m) = residual_match(offer, request, &constraint_vars) {
-                matches.push(m);
+            if let Some(score) = residual_score(offer, request, &constraint_vars) {
+                hits.push((score, offer));
             }
         }
-        order_matches(&mut matches, &request.preference);
-        matches.truncate(request.max_matches);
+        let matches = finish(hits, request);
         rmodp_observe::event(
             rmodp_observe::Layer::Trader,
             rmodp_observe::EventKind::TraderLookup,
@@ -782,5 +783,23 @@ mod tests {
     fn malformed_request_expressions_fail_fast() {
         assert!(ImportRequest::new("T").constraint("a >").is_err());
         assert!(ImportRequest::new("T").prefer_max("(").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_not_a_stack_overflow() {
+        use rmodp_core::expr::ParseErrorKind;
+        let too_deep = |r: Result<ImportRequest, TraderError>| matches!(r, Err(TraderError::BadExpression(e)) if e.kind == ParseErrorKind::TooDeep);
+        let parens = "(".repeat(100_000);
+        assert!(too_deep(ImportRequest::new("T").constraint(&parens)));
+        let closed = format!("{parens}ppm{}", ")".repeat(100_000));
+        assert!(too_deep(ImportRequest::new("T").constraint(&closed)));
+        let chain = vec!["ppm > 1"; 100_000].join(" and ");
+        assert!(too_deep(ImportRequest::new("T").constraint(&chain)));
+        assert!(too_deep(
+            ImportRequest::new("T").prefer_min(&"-".repeat(100_000))
+        ));
+        // The trader keeps serving after refusing them.
+        let mut t = printer_trader();
+        assert_eq!(t.import(&ImportRequest::new("Printer"), None).len(), 2);
     }
 }
