@@ -69,3 +69,19 @@ fn trader_suite_reproduces_committed_artifact() {
         "BENCH_trader.json drifted from the committed fixture"
     );
 }
+
+#[test]
+fn oo7_suite_reproduces_committed_artifact() {
+    // The CI smoke configuration: WAL and snapshot sizes, compactions,
+    // recovery counts and the state checksums are pinned.
+    let golden = fixture("BENCH_oo7.json");
+    let produced = rmodp_bench::oo7_suite::run_suite(rmodp_bench::oo7_suite::Oo7BenchConfig {
+        scale: 0,
+        update_batches: 12,
+        seed: 7,
+    });
+    assert_eq!(
+        produced, golden,
+        "BENCH_oo7.json drifted from the committed fixture"
+    );
+}
