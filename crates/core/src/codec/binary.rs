@@ -14,6 +14,18 @@
 //! 0x07 record   (u32 count + (text key, value) pairs, keys sorted)
 //! 0x08 ref      (8 bytes, u64 LE)
 //! ```
+//!
+//! The encoding is canonical: record keys appear in strictly increasing
+//! order, and the decoder rejects any other order (a duplicate key
+//! included), so one [`Value`] has exactly one byte form. Decoding also
+//! refuses `Seq`/`Record` nesting deeper than [`MAX_DEPTH`], so hostile
+//! input returns a [`CodecError`] instead of exhausting the stack.
+//!
+//! Writers that stream a value straight from borrowed parts — the
+//! durable store's WAL frames and snapshots — use [`encode_into`] and the
+//! header writers ([`put_record_header`], [`put_seq_header`],
+//! [`put_field_key`], [`put_text`], [`put_int`]). They must emit record
+//! fields in key order; the decoder catches any that do not.
 
 use bytes::{Buf, BufMut};
 
@@ -29,6 +41,12 @@ const TAG_BLOB: u8 = 0x05;
 const TAG_SEQ: u8 = 0x06;
 const TAG_RECORD: u8 = 0x07;
 const TAG_REF: u8 = 0x08;
+
+/// The deepest `Seq`/`Record` nesting [`BinarySyntax`] decodes: a
+/// top-level sequence is one level. Deeper input is a [`CodecError`].
+/// Sized, like the expression parser's bound, to decode within a 2 MiB
+/// thread stack in a debug build.
+pub const MAX_DEPTH: usize = 128;
 
 /// The compact binary transfer syntax (see module docs for the layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +64,11 @@ impl TransferSyntax for BinarySyntax {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
-        let mut cursor = Cursor { buf: bytes, pos: 0 };
+        let mut cursor = Cursor {
+            buf: bytes,
+            pos: 0,
+            depth: 0,
+        };
         let v = cursor.value()?;
         if cursor.pos != bytes.len() {
             return Err(cursor.error("trailing bytes after value"));
@@ -55,7 +77,8 @@ impl TransferSyntax for BinarySyntax {
     }
 }
 
-fn encode_into(value: &Value, out: &mut Vec<u8>) {
+/// Appends the encoding of `value` to `out`.
+pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => out.put_u8(TAG_NULL),
         Value::Bool(b) => {
@@ -103,9 +126,53 @@ fn encode_into(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// Appends a record header for `count` fields. Follow it with `count`
+/// [`put_field_key`]-then-value pairs, keys in strictly increasing order.
+pub fn put_record_header(out: &mut Vec<u8>, count: usize) {
+    out.put_u8(TAG_RECORD);
+    out.put_u32_le(count as u32);
+}
+
+/// Appends a sequence header for `count` items; follow it with the items.
+pub fn put_seq_header(out: &mut Vec<u8>, count: usize) {
+    out.put_u8(TAG_SEQ);
+    out.put_u32_le(count as u32);
+}
+
+/// Appends a record field's key (untagged); follow it with the value.
+pub fn put_field_key(out: &mut Vec<u8>, key: &str) {
+    out.put_u32_le(key.len() as u32);
+    out.put_slice(key.as_bytes());
+}
+
+/// Appends a `Text` value.
+pub fn put_text(out: &mut Vec<u8>, s: &str) {
+    out.put_u8(TAG_TEXT);
+    put_field_key(out, s);
+}
+
+/// Appends an `Int` value.
+pub fn put_int(out: &mut Vec<u8>, i: i64) {
+    out.put_u8(TAG_INT);
+    out.put_i64_le(i);
+}
+
+/// Whether `value` nests at most `levels` `Seq`/`Record` levels deep,
+/// so that it still decodes inside `MAX_DEPTH - levels` levels of
+/// wrapping. Looks no deeper than `levels`.
+pub fn depth_within(value: &Value, levels: usize) -> bool {
+    match value {
+        Value::Seq(items) => levels > 0 && items.iter().all(|v| depth_within(v, levels - 1)),
+        Value::Record(fields) => levels > 0 && fields.values().all(|v| depth_within(v, levels - 1)),
+        _ => true,
+    }
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// `Seq`/`Record` levels currently open.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -149,6 +216,20 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// Opens one more nesting level for the tag just read, refusing to
+    /// pass [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), CodecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(CodecError {
+                syntax: SyntaxId::Binary,
+                offset: self.pos - 1,
+                message: format!("value nested deeper than {MAX_DEPTH}"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn value(&mut self) -> Result<Value, CodecError> {
         let tag = self.u8()?;
         match tag {
@@ -172,21 +253,35 @@ impl<'a> Cursor<'a> {
                 Ok(Value::Blob(self.take(len)?.to_vec()))
             }
             TAG_SEQ => {
+                self.descend()?;
                 let count = self.u32()? as usize;
                 let mut items = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
                     items.push(self.value()?);
                 }
+                self.depth -= 1;
                 Ok(Value::Seq(items))
             }
             TAG_RECORD => {
+                self.descend()?;
                 let count = self.u32()? as usize;
-                let mut fields = std::collections::BTreeMap::new();
+                let mut fields = std::collections::BTreeMap::<String, Value>::new();
                 for _ in 0..count {
+                    let at = self.pos;
                     let key = self.text()?;
+                    if let Some((last, _)) = fields.last_key_value() {
+                        if key <= *last {
+                            return Err(CodecError {
+                                syntax: SyntaxId::Binary,
+                                offset: at,
+                                message: format!("record key {key:?} does not follow {last:?}"),
+                            });
+                        }
+                    }
                     let value = self.value()?;
                     fields.insert(key, value);
                 }
+                self.depth -= 1;
                 Ok(Value::Record(fields))
             }
             TAG_REF => {
@@ -250,6 +345,104 @@ mod tests {
         let a = Value::record([("b", Value::Int(2)), ("a", Value::Int(1))]);
         let b = Value::record([("a", Value::Int(1)), ("b", Value::Int(2))]);
         assert_eq!(BinarySyntax.encode(&a), BinarySyntax.encode(&b));
+    }
+
+    /// A record of two `Int` fields, keys written in the given order.
+    fn two_field_record(first: &str, second: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_record_header(&mut out, 2);
+        put_field_key(&mut out, first);
+        put_int(&mut out, 1);
+        put_field_key(&mut out, second);
+        put_int(&mut out, 2);
+        out
+    }
+
+    #[test]
+    fn decode_rejects_a_duplicate_record_key() {
+        let err = BinarySyntax
+            .decode(&two_field_record("a", "a"))
+            .unwrap_err();
+        assert!(err.message.contains("does not follow"), "{err}");
+        assert_eq!(err.offset, 5 + 4 + 1 + 9, "points at the second key");
+    }
+
+    #[test]
+    fn decode_rejects_an_unsorted_record_key() {
+        let err = BinarySyntax
+            .decode(&two_field_record("b", "a"))
+            .unwrap_err();
+        assert!(err.message.contains("does not follow"), "{err}");
+        let sorted = two_field_record("a", "b");
+        assert_eq!(
+            BinarySyntax.decode(&sorted).unwrap(),
+            Value::record([("a", Value::Int(1)), ("b", Value::Int(2))])
+        );
+    }
+
+    #[test]
+    fn header_writers_match_the_tree_encoder() {
+        let mut out = Vec::new();
+        put_record_header(&mut out, 3);
+        put_field_key(&mut out, "n");
+        put_int(&mut out, -4);
+        put_field_key(&mut out, "s");
+        put_seq_header(&mut out, 2);
+        put_text(&mut out, "héllo");
+        encode_into(&Value::Null, &mut out);
+        put_field_key(&mut out, "t");
+        put_text(&mut out, "");
+        let tree = Value::record([
+            ("n", Value::Int(-4)),
+            ("s", Value::seq([Value::text("héllo"), Value::Null])),
+            ("t", Value::text("")),
+        ]);
+        assert_eq!(out, BinarySyntax.encode(&tree));
+    }
+
+    fn nested(levels: usize) -> Value {
+        (0..levels).fold(Value::Int(0), |v, _| Value::seq([v]))
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_codec_error() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(nesting_checks)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// Run on a 2 MiB stack: the deepest accepted value must decode (and
+    /// encode, compare and drop) there in a debug build.
+    fn nesting_checks() {
+        let deepest = nested(MAX_DEPTH);
+        assert!(depth_within(&deepest, MAX_DEPTH));
+        assert!(!depth_within(&deepest, MAX_DEPTH - 1));
+        assert_eq!(
+            BinarySyntax.decode(&BinarySyntax.encode(&deepest)).unwrap(),
+            deepest
+        );
+        let err = BinarySyntax
+            .decode(&BinarySyntax.encode(&nested(MAX_DEPTH + 1)))
+            .unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // A megabyte of sequence headers: refused, not a stack overflow.
+        let mut hostile = Vec::new();
+        for _ in 0..200_000 {
+            put_seq_header(&mut hostile, 1);
+        }
+        let err = BinarySyntax.decode(&hostile).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * 5);
+        // Records count toward the same bound.
+        let mut records = Vec::new();
+        for _ in 0..=MAX_DEPTH {
+            put_record_header(&mut records, 1);
+            put_field_key(&mut records, "k");
+        }
+        records.push(TAG_NULL);
+        assert!(BinarySyntax.decode(&records).is_err());
     }
 
     #[test]

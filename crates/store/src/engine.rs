@@ -16,9 +16,24 @@
 //! **syncs it**, and only then atomically resets the WAL. A crash
 //! between the two steps leaves snapshot + over-long log — tolerated —
 //! never a short log without its covering snapshot.
+//!
+//! The write path builds no intermediate `Value` trees. The engine owns
+//! one reusable frame buffer; every WAL record and every snapshot is
+//! encoded in place into it (a write is streamed from the key, the
+//! borrowed before-image and the new value) and handed
+//! to the media from there, so [`put`](StoreEngine::put) clones nothing
+//! and moves the value into the open batch. Recovery moves too: the
+//! snapshot's entries and the redone after-images go into the state
+//! without a copy.
+//!
+//! Because every value must decode again, [`put`](StoreEngine::put)
+//! refuses one nested deeper than [`MAX_VALUE_DEPTH`] with
+//! [`StoreError::ValueTooDeep`] rather than commit what recovery could
+//! not read back.
 
 use std::collections::BTreeMap;
 
+use rmodp_core::codec::binary::{depth_within, MAX_DEPTH};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::bus;
@@ -26,8 +41,13 @@ use rmodp_observe::event::{EventBuilder, EventKind, Layer};
 use rmodp_transactions::log::{LogRecord, WriteAheadLog};
 
 use crate::media::StableMedia;
-use crate::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
-use crate::wal::{decode_frames, encode_frame};
+use crate::snapshot::{decode_snapshot, put_snapshot, Snapshot, VALUE_WRAP_DEPTH};
+use crate::wal::{decode_frames, put_frame, put_write_frame};
+
+/// The deepest `Seq`/`Record` nesting a stored value may have: the
+/// binary decoder's [`MAX_DEPTH`] less the levels a snapshot wraps
+/// around it (a WAL write frame wraps fewer).
+pub const MAX_VALUE_DEPTH: usize = MAX_DEPTH - VALUE_WRAP_DEPTH;
 
 /// A store failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +61,12 @@ pub enum StoreError {
     NoOpenBatch,
     /// `begin` was called while a batch was already open.
     BatchAlreadyOpen,
+    /// A value nested deeper than [`MAX_VALUE_DEPTH`] was refused: its
+    /// WAL or snapshot frame would not decode again.
+    ValueTooDeep {
+        /// The key the value was put under.
+        key: String,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -49,6 +75,10 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptSnapshot(why) => write!(f, "corrupt snapshot: {why}"),
             StoreError::NoOpenBatch => write!(f, "no open batch"),
             StoreError::BatchAlreadyOpen => write!(f, "a batch is already open"),
+            StoreError::ValueTooDeep { key } => write!(
+                f,
+                "value for `{key}` nests deeper than {MAX_VALUE_DEPTH} levels"
+            ),
         }
     }
 }
@@ -118,6 +148,8 @@ pub struct StoreEngine<M: StableMedia> {
     open: Option<OpenBatch>,
     stats: StoreStats,
     recovery: RecoveryReport,
+    /// Reused for every frame and snapshot the engine encodes.
+    frame: Vec<u8>,
 }
 
 impl<M: StableMedia> StoreEngine<M> {
@@ -147,18 +179,18 @@ impl<M: StableMedia> StoreEngine<M> {
         let analysis = log.analyze();
         report.unresolved_txs = analysis.active.len() + analysis.in_doubt.len();
         let mut max_tx = 0u64;
-        for record in log.records() {
+        for record in log.into_records() {
             max_tx = max_tx.max(record.tx().raw());
             if let LogRecord::Write {
                 tx, item, after, ..
             } = record
             {
-                if analysis.committed.contains(tx) {
+                if analysis.committed.contains(&tx) {
                     report.writes_replayed += 1;
                     if matches!(after, Value::Null) {
-                        state.remove(item);
+                        state.remove(&item);
                     } else {
-                        state.insert(item.clone(), after.clone());
+                        state.insert(item, after);
                     }
                 }
             }
@@ -189,6 +221,7 @@ impl<M: StableMedia> StoreEngine<M> {
             open: None,
             stats,
             recovery: report,
+            frame: Vec::new(),
         };
         engine.publish_sizes();
         Ok(engine)
@@ -269,25 +302,29 @@ impl<M: StableMedia> StoreEngine<M> {
         Ok(tx)
     }
 
-    /// Stages a write into the open batch (logged write-ahead).
+    /// Stages a write into the open batch (logged write-ahead). The
+    /// frame is encoded from the key, the committed before-image and
+    /// `value` in place; `value` then moves into the batch.
     ///
     /// [`Value::Null`] is reserved as the delete tombstone; storing it
     /// is equivalent to [`delete`](Self::delete).
     ///
     /// # Errors
     ///
-    /// [`StoreError::NoOpenBatch`] without a batch.
+    /// [`StoreError::NoOpenBatch`] without a batch;
+    /// [`StoreError::ValueTooDeep`] (nothing logged or staged) for a
+    /// value nested deeper than [`MAX_VALUE_DEPTH`].
     pub fn put(&mut self, key: &str, value: Value) -> Result<(), StoreError> {
-        let before = self.state.get(key).cloned();
         let batch = self.open.as_mut().ok_or(StoreError::NoOpenBatch)?;
-        let record = LogRecord::Write {
-            tx: batch.tx,
-            item: key.to_owned(),
-            before,
-            after: value.clone(),
-        };
+        if !depth_within(&value, MAX_VALUE_DEPTH) {
+            return Err(StoreError::ValueTooDeep {
+                key: key.to_owned(),
+            });
+        }
+        self.frame.clear();
+        put_write_frame(&mut self.frame, batch.tx, key, self.state.get(key), &value);
+        self.media.wal_append(&self.frame);
         batch.ops.push((key.to_owned(), value));
-        self.append(&record);
         Ok(())
     }
 
@@ -348,8 +385,9 @@ impl<M: StableMedia> StoreEngine<M> {
     /// atomically reset the WAL. Ordering is load-bearing — the reset
     /// must not happen before its covering snapshot is stable.
     pub fn compact(&mut self) {
-        self.media
-            .snapshot_write(&encode_snapshot(&self.state, self.next_batch));
+        self.frame.clear();
+        put_snapshot(&mut self.frame, &self.state, self.next_batch);
+        self.media.snapshot_write(&self.frame);
         self.media.sync();
         EventBuilder::new(Layer::Store, EventKind::StoreSnapshot)
             .detail(format!("keys={}", self.state.len()))
@@ -358,19 +396,15 @@ impl<M: StableMedia> StoreEngine<M> {
         // reset, or recovery could mistake its later commit frame for a
         // full transaction. Re-frame the open batch's prefix into the
         // fresh log.
-        let mut tail = Vec::new();
+        // Their before-images are not needed for redo and are dropped.
+        self.frame.clear();
         if let Some(batch) = &self.open {
-            tail.extend_from_slice(&encode_frame(&LogRecord::Begin { tx: batch.tx }));
+            put_frame(&mut self.frame, &LogRecord::Begin { tx: batch.tx });
             for (key, value) in &batch.ops {
-                tail.extend_from_slice(&encode_frame(&LogRecord::Write {
-                    tx: batch.tx,
-                    item: key.clone(),
-                    before: None,
-                    after: value.clone(),
-                }));
+                put_write_frame(&mut self.frame, batch.tx, key, None, value);
             }
         }
-        self.media.wal_reset(&tail);
+        self.media.wal_reset(&self.frame);
         self.stats.compactions += 1;
         bus::counter_add("store.compactions", 1);
         EventBuilder::new(Layer::Store, EventKind::StoreCompaction)
@@ -380,7 +414,9 @@ impl<M: StableMedia> StoreEngine<M> {
     }
 
     fn append(&mut self, record: &LogRecord) {
-        self.media.wal_append(&encode_frame(record));
+        self.frame.clear();
+        put_frame(&mut self.frame, record);
+        self.media.wal_append(&self.frame);
     }
 
     fn publish_sizes(&self) {
@@ -393,6 +429,7 @@ impl<M: StableMedia> StoreEngine<M> {
 mod tests {
     use super::*;
     use crate::media::MemMedia;
+    use crate::snapshot::encode_snapshot;
 
     fn open_mem() -> StoreEngine<MemMedia> {
         StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap()
@@ -503,6 +540,73 @@ mod tests {
         engine.commit().unwrap();
         let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
         assert_eq!(engine.get("b"), Some(&Value::Int(2)));
+    }
+
+    /// One frame of 200K nested sequence headers with a valid checksum.
+    fn deep_frame() -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::wal::frame(&mut out, |out| {
+            for _ in 0..200_000 {
+                rmodp_core::codec::binary::put_seq_header(out, 1);
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn a_deep_wal_frame_stops_recovery_as_a_torn_tail() {
+        let mut engine = open_mem();
+        commit_one(&mut engine, "a", 1);
+        let media = engine.media_mut();
+        media.wal_append(&deep_frame());
+        media.sync();
+        let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
+        assert_eq!(engine.get("a"), Some(&Value::Int(1)));
+        assert!(engine.recovery_report().tail_discarded);
+    }
+
+    #[test]
+    fn a_deep_snapshot_is_reported_corrupt() {
+        let mut media = MemMedia::new();
+        media.snapshot_write(&deep_frame());
+        media.sync();
+        match StoreEngine::open(media, StoreConfig::default()) {
+            Err(StoreError::CorruptSnapshot(why)) => assert!(why.contains("nested"), "{why}"),
+            other => panic!("expected a corrupt snapshot, got {other:?}"),
+        }
+    }
+
+    fn nested(levels: usize) -> Value {
+        (0..levels).fold(Value::Int(0), |v, _| Value::record([("n", v)]))
+    }
+
+    #[test]
+    fn put_refuses_a_value_that_would_not_decode_again() {
+        let mut engine = open_mem();
+        engine.begin().unwrap();
+        let logged = engine.log_bytes();
+        assert_eq!(
+            engine.put("deep", nested(MAX_VALUE_DEPTH + 1)),
+            Err(StoreError::ValueTooDeep {
+                key: "deep".to_owned()
+            })
+        );
+        assert_eq!(engine.log_bytes(), logged, "nothing logged");
+        // The deepest value accepted survives the WAL, as a before-image
+        // too, and a snapshot.
+        engine.put("deep", nested(MAX_VALUE_DEPTH)).unwrap();
+        engine.commit().unwrap();
+        engine.begin().unwrap();
+        engine.put("deep", nested(MAX_VALUE_DEPTH)).unwrap();
+        engine.commit().unwrap();
+        let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
+        assert!(!engine.recovery_report().tail_discarded);
+        assert_eq!(engine.get("deep"), Some(&nested(MAX_VALUE_DEPTH)));
+        let mut engine = engine;
+        engine.compact();
+        let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
+        assert_eq!(engine.get("deep"), Some(&nested(MAX_VALUE_DEPTH)));
+        assert_eq!(engine.recovery_report().writes_replayed, 0);
     }
 
     #[test]

@@ -9,14 +9,31 @@
 //! [len: u32 LE] [fnv1a(payload): u64 LE] [payload: binary-syntax Value]
 //! ```
 //!
-//! and decoding stops at the first frame that is incomplete or fails its
-//! checksum: whatever a crash left beyond the last fully-synced frame is
-//! discarded, never misread. That is exactly the property the
-//! crash-at-every-prefix test pins — the decoded stream equals the
-//! longest valid frame prefix, byte-truncation anywhere included.
+//! where the payload is the binary encoding of
+//! [`LogRecord::to_value`]. Frames are written in place: `frame`
+//! reserves the header, the payload is streamed straight onto the
+//! output from borrowed parts (no `Value` tree is built), and the
+//! length and checksum are patched in after. Snapshots use the same
+//! helper.
+//!
+//! Decoding stops at the first frame that is incomplete, fails its
+//! checksum, or does not decode: whatever a crash left beyond the last
+//! fully-synced frame is discarded, never misread. That is exactly the
+//! property the crash-at-every-prefix test pins — the decoded stream
+//! equals the longest valid frame prefix, byte-truncation anywhere
+//! included. Decoded records are built by moving the images out of the
+//! decoded payload.
 
-use rmodp_core::codec::{syntax_for, SyntaxId};
+use rmodp_core::codec::binary::{
+    encode_into, put_field_key, put_int, put_record_header, put_seq_header, put_text,
+};
+use rmodp_core::codec::{BinarySyntax, TransferSyntax};
+use rmodp_core::id::TxId;
+use rmodp_core::value::Value;
 use rmodp_transactions::log::LogRecord;
+
+/// Bytes of a frame header: `len` then `fnv1a`.
+const HEADER: usize = 12;
 
 /// FNV-1a over a byte slice — the per-frame checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -28,13 +45,87 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends one checksummed frame to `out`: reserves the header, lets
+/// `payload` append the payload, then patches in its length and FNV-1a.
+pub(crate) fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER]);
+    payload(out);
+    let body = &out[start + HEADER..];
+    let (len, crc) = (body.len() as u32, fnv1a(body));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Splits the frame at the front of `bytes` into its payload and its
+/// total length.
+///
+/// # Errors
+///
+/// What is wrong with the frame: too short for its header, payload
+/// truncated, or checksum mismatch.
+pub(crate) fn unframe(bytes: &[u8]) -> Result<(&[u8], usize), &'static str> {
+    let header = bytes.get(..HEADER).ok_or("shorter than its header")?;
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u64::from_le_bytes(header[4..HEADER].try_into().expect("8 bytes"));
+    let payload = bytes.get(HEADER..HEADER + len).ok_or("payload truncated")?;
+    if fnv1a(payload) != crc {
+        return Err("checksum mismatch");
+    }
+    Ok((payload, HEADER + len))
+}
+
+/// Appends the frame of a `Write` record built from borrowed parts —
+/// the same bytes as [`put_frame`] of the owned record.
+pub(crate) fn put_write_frame(
+    out: &mut Vec<u8>,
+    tx: TxId,
+    item: &str,
+    before: Option<&Value>,
+    after: &Value,
+) {
+    frame(out, |out| {
+        // Fields in canonical (sorted) key order.
+        put_record_header(out, 5);
+        put_field_key(out, "after");
+        encode_into(after, out);
+        put_field_key(out, "before");
+        put_seq_header(out, usize::from(before.is_some()));
+        if let Some(before) = before {
+            encode_into(before, out);
+        }
+        put_field_key(out, "item");
+        put_text(out, item);
+        put_field_key(out, "rec");
+        put_text(out, "write");
+        put_field_key(out, "tx");
+        put_int(out, tx.raw() as i64);
+    });
+}
+
+/// Appends one record as a checksummed frame.
+pub(crate) fn put_frame(out: &mut Vec<u8>, record: &LogRecord) {
+    match record {
+        LogRecord::Write {
+            tx,
+            item,
+            before,
+            after,
+        } => put_write_frame(out, *tx, item, before.as_ref(), after),
+        _ => frame(out, |out| {
+            put_record_header(out, 2);
+            put_field_key(out, "rec");
+            put_text(out, record.tag());
+            put_field_key(out, "tx");
+            put_int(out, record.tx().raw() as i64);
+        }),
+    }
+}
+
 /// Encodes one record as a checksummed frame.
 pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    let payload = syntax_for(SyntaxId::Binary).encode(&record.to_value());
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    put_frame(&mut out, record);
     out
 }
 
@@ -54,23 +145,15 @@ pub struct DecodedWal {
 pub fn decode_frames(bytes: &[u8]) -> DecodedWal {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 12) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
+    while let Ok((payload, len)) = unframe(&bytes[pos..]) {
+        let Ok(value) = BinarySyntax.decode(payload) else {
             break;
         };
-        if fnv1a(payload) != crc {
-            break;
-        }
-        let Ok(value) = syntax_for(SyntaxId::Binary).decode(payload) else {
-            break;
-        };
-        let Ok(record) = LogRecord::from_value(&value) else {
+        let Ok(record) = LogRecord::from_value(value) else {
             break;
         };
         records.push(record);
-        pos += 12 + len;
+        pos += len;
     }
     DecodedWal {
         records,
@@ -82,8 +165,6 @@ pub fn decode_frames(bytes: &[u8]) -> DecodedWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmodp_core::id::TxId;
-    use rmodp_core::value::Value;
 
     fn sample() -> Vec<LogRecord> {
         vec![

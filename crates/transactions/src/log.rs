@@ -45,21 +45,29 @@ impl LogRecord {
         }
     }
 
-    /// The record as a self-describing [`Value`], the form a durable log
-    /// serialises through a transfer syntax. The optional before-image is
-    /// carried as a zero/one-element sequence so that `None` and a stored
-    /// `Null` stay distinguishable.
+    /// The record's tag in its durable form: `begin`, `write`,
+    /// `prepare`, `commit` or `abort`.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            LogRecord::Begin { .. } => TAGS[0],
+            LogRecord::Write { .. } => TAGS[1],
+            LogRecord::Prepare { .. } => TAGS[2],
+            LogRecord::Commit { .. } => TAGS[3],
+            LogRecord::Abort { .. } => TAGS[4],
+        }
+    }
+
+    /// The record as a self-describing [`Value`], the reference form a
+    /// durable log serialises through a transfer syntax: a record with
+    /// fields `rec` (the [`tag`](Self::tag)), `tx`, and for writes
+    /// `item`, `before` and `after`. The optional before-image is
+    /// carried as a zero/one-element sequence so that `None` and a
+    /// stored `Null` stay distinguishable. (The store's WAL writes these
+    /// bytes directly, without building the tree.)
     pub fn to_value(&self) -> Value {
-        let (tag, tx) = match self {
-            LogRecord::Begin { tx } => (TAGS[0], tx),
-            LogRecord::Write { tx, .. } => (TAGS[1], tx),
-            LogRecord::Prepare { tx } => (TAGS[2], tx),
-            LogRecord::Commit { tx } => (TAGS[3], tx),
-            LogRecord::Abort { tx } => (TAGS[4], tx),
-        };
         let mut fields = vec![
-            ("rec".to_owned(), Value::text(tag)),
-            ("tx".to_owned(), Value::Int(tx.raw() as i64)),
+            ("rec".to_owned(), Value::text(self.tag())),
+            ("tx".to_owned(), Value::Int(self.tx().raw() as i64)),
         ];
         if let LogRecord::Write {
             item,
@@ -78,43 +86,42 @@ impl LogRecord {
         Value::record(fields)
     }
 
-    /// Rebuilds a record from its [`to_value`](Self::to_value) form.
+    /// Rebuilds a record from its [`to_value`](Self::to_value) form,
+    /// moving the item and the images out of it.
     ///
     /// # Errors
     ///
     /// A description of the first structural problem found.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let tag = v
-            .field("rec")
-            .and_then(Value::as_text)
-            .ok_or("missing record tag")?;
+    pub fn from_value(v: Value) -> Result<Self, String> {
+        let Value::Record(mut fields) = v else {
+            return Err("missing record tag".to_owned());
+        };
+        let Some(Value::Text(tag)) = fields.remove("rec") else {
+            return Err("missing record tag".to_owned());
+        };
         let tx = TxId::new(
-            v.field("tx")
+            fields
+                .get("tx")
                 .and_then(Value::as_int)
                 .ok_or("missing tx id")? as u64,
         );
-        match tag {
+        match tag.as_str() {
             "begin" => Ok(LogRecord::Begin { tx }),
             "prepare" => Ok(LogRecord::Prepare { tx }),
             "commit" => Ok(LogRecord::Commit { tx }),
             "abort" => Ok(LogRecord::Abort { tx }),
             "write" => {
-                let item = v
-                    .field("item")
-                    .and_then(Value::as_text)
-                    .ok_or("write without item")?
-                    .to_owned();
-                let before = v
-                    .field("before")
-                    .and_then(Value::as_seq)
-                    .ok_or("write without before-image slot")?
-                    .first()
-                    .cloned();
-                let after = v.field("after").cloned().ok_or("write without after")?;
+                let Some(Value::Text(item)) = fields.remove("item") else {
+                    return Err("write without item".to_owned());
+                };
+                let Some(Value::Seq(before)) = fields.remove("before") else {
+                    return Err("write without before-image slot".to_owned());
+                };
+                let after = fields.remove("after").ok_or("write without after")?;
                 Ok(LogRecord::Write {
                     tx,
                     item,
-                    before,
+                    before: before.into_iter().next(),
                     after,
                 })
             }
@@ -176,6 +183,12 @@ impl WriteAheadLog {
     /// All records (stable prefix after a crash).
     pub fn records(&self) -> &[LogRecord] {
         &self.records
+    }
+
+    /// Consumes the log, returning its records (e.g. for a redo pass
+    /// that moves the after-images into the recovered state).
+    pub fn into_records(self) -> Vec<LogRecord> {
+        self.records
     }
 
     /// How many records are stable.
@@ -360,11 +373,11 @@ mod tests {
             LogRecord::Abort { tx: T2 },
         ];
         for r in &records {
-            let back = LogRecord::from_value(&r.to_value()).unwrap();
+            let back = LogRecord::from_value(r.to_value()).unwrap();
             assert_eq!(&back, r);
         }
-        assert!(LogRecord::from_value(&Value::Int(3)).is_err());
-        assert!(LogRecord::from_value(&Value::record([("rec", Value::text("warp"))])).is_err());
+        assert!(LogRecord::from_value(Value::Int(3)).is_err());
+        assert!(LogRecord::from_value(Value::record([("rec", Value::text("warp"))])).is_err());
     }
 
     #[test]
@@ -375,6 +388,10 @@ mod tests {
         ]);
         assert_eq!(log.stable_len(), 2);
         assert_eq!(log.replay().get("x"), Some(&Value::Int(1)));
+        assert_eq!(
+            log.into_records(),
+            vec![write(T1, "x", None, 1), LogRecord::Commit { tx: T1 }]
+        );
     }
 
     #[test]
