@@ -63,6 +63,17 @@ impl TransferSyntax for BinarySyntax {
         out
     }
 
+    fn encode_record(&self, fields: &[(&str, &Value)]) -> Vec<u8> {
+        debug_assert!(super::keys_increasing(fields), "record keys out of order");
+        let mut out = Vec::with_capacity(64);
+        put_record_header(&mut out, fields.len());
+        for (k, v) in fields {
+            put_field_key(&mut out, k);
+            encode_into(v, &mut out);
+        }
+        out
+    }
+
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
         let mut cursor = Cursor {
             buf: bytes,
@@ -111,11 +122,9 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
             }
         }
         Value::Record(fields) => {
-            out.put_u8(TAG_RECORD);
-            out.put_u32_le(fields.len() as u32);
+            put_record_header(out, fields.len());
             for (k, v) in fields {
-                out.put_u32_le(k.len() as u32);
-                out.put_slice(k.as_bytes());
+                put_field_key(out, k);
                 encode_into(v, out);
             }
         }

@@ -77,12 +77,24 @@ pub trait TransferSyntax: fmt::Debug + Send + Sync {
     /// Encodes a value.
     fn encode(&self, value: &Value) -> Vec<u8>;
 
+    /// Encodes the record whose fields are `fields`, from borrowed
+    /// parts: the bytes equal `self.encode(&Value::record(fields))`, but
+    /// no record tree is built. Keys must be strictly increasing, the
+    /// order a record's fields are in.
+    fn encode_record(&self, fields: &[(&str, &Value)]) -> Vec<u8>;
+
     /// Decodes a value.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] if the bytes are not a valid encoding.
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError>;
+}
+
+/// Whether record keys are strictly increasing: the field order every
+/// record, and so [`TransferSyntax::encode_record`], requires.
+fn keys_increasing(fields: &[(&str, &Value)]) -> bool {
+    fields.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 /// Returns the syntax implementation for an identifier.

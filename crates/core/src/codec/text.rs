@@ -8,10 +8,15 @@
 //!
 //! Floats always carry a `.` or exponent so they are distinguishable from
 //! ints. Record keys that are valid identifiers render bare; others quoted.
+//!
+//! Decoding refuses `[`/`{` nesting deeper than [`MAX_DEPTH`], the
+//! binary syntax's bound, so hostile input returns a [`CodecError`]
+//! instead of exhausting the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use super::binary::MAX_DEPTH;
 use super::{CodecError, SyntaxId, TransferSyntax};
 use crate::value::Value;
 
@@ -30,13 +35,24 @@ impl TransferSyntax for TextSyntax {
         s.into_bytes()
     }
 
+    fn encode_record(&self, fields: &[(&str, &Value)]) -> Vec<u8> {
+        debug_assert!(super::keys_increasing(fields), "record keys out of order");
+        let mut s = String::with_capacity(32);
+        render_record(fields.iter().copied(), &mut s);
+        s.into_bytes()
+    }
+
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
         let src = std::str::from_utf8(bytes).map_err(|e| CodecError {
             syntax: SyntaxId::Text,
             offset: e.valid_up_to(),
             message: "encoding is not utf-8".into(),
         })?;
-        let mut p = TextParser { src, pos: 0 };
+        let mut p = TextParser {
+            src,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -85,26 +101,28 @@ fn render(value: &Value, out: &mut String) {
             }
             out.push(']');
         }
-        Value::Record(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                if is_ident(k) {
-                    out.push_str(k);
-                } else {
-                    render_quoted(k, out);
-                }
-                out.push_str(": ");
-                render(v, out);
-            }
-            out.push('}');
-        }
+        Value::Record(fields) => render_record(fields.iter().map(|(k, v)| (k.as_str(), v)), out),
         Value::Ref(id) => {
             let _ = write!(out, "ref({id})");
         }
     }
+}
+
+fn render_record<'v>(fields: impl Iterator<Item = (&'v str, &'v Value)>, out: &mut String) {
+    out.push('{');
+    for (i, (k, v)) in fields.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        if is_ident(k) {
+            out.push_str(k);
+        } else {
+            render_quoted(k, out);
+        }
+        out.push_str(": ");
+        render(v, out);
+    }
+    out.push('}');
 }
 
 fn render_quoted(s: &str, out: &mut String) {
@@ -134,6 +152,8 @@ fn is_ident(s: &str) -> bool {
 struct TextParser<'a> {
     src: &'a str,
     pos: usize,
+    /// `[`/`{` levels currently open.
+    depth: usize,
 }
 
 impl<'a> TextParser<'a> {
@@ -206,13 +226,19 @@ impl<'a> TextParser<'a> {
                 self.pos += 1;
                 Ok(Value::Text(self.string_body()?))
             }
-            Some('[') => {
+            Some(open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("value nested deeper than {MAX_DEPTH}")));
+                }
                 self.pos += 1;
-                self.seq_body()
-            }
-            Some('{') => {
-                self.pos += 1;
-                self.record_body()
+                self.depth += 1;
+                let v = if open == '[' {
+                    self.seq_body()
+                } else {
+                    self.record_body()
+                };
+                self.depth -= 1;
+                v
             }
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character {c:?}"))),
@@ -451,6 +477,23 @@ mod tests {
                 TextSyntax.decode(bad.as_bytes()).is_err(),
                 "{bad:?} should fail"
             );
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            let mut s = open.repeat(levels);
+            s.push_str(&close.repeat(levels));
+            s
+        };
+        for (open, close) in [("[", "]"), ("{a: ", "}")] {
+            let deepest = nested(open, close, MAX_DEPTH);
+            let deepest = deepest.replace("{a: }", "{}");
+            assert!(TextSyntax.decode(deepest.as_bytes()).is_ok(), "{open}");
+            let too_deep = nested(open, close, MAX_DEPTH + 1).replace("{a: }", "{}");
+            let err = TextSyntax.decode(too_deep.as_bytes()).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
         }
     }
 

@@ -21,6 +21,7 @@ use crate::channel::{
     BreakerConfig, BreakerPhase, ChannelConfig, ChannelError, RetryPolicy, Stack,
 };
 use crate::envelope::{Envelope, ReplyStatus};
+use crate::invocation::{decode_termination, encode_invocation};
 use crate::nucleus::{
     AdmissionConfig, DriverProcess, NucleusProcess, NucleusStats, DRIVER_PORT, NUCLEUS_PORT,
 };
@@ -573,11 +574,6 @@ impl Engine {
         Ok(())
     }
 
-    fn encode_invocation(&self, native: SyntaxId, op: &str, args: &Value) -> Vec<u8> {
-        let v = Value::record([("op", Value::text(op.to_owned())), ("args", args.clone())]);
-        syntax_for(native).encode(&v)
-    }
-
     /// Invokes an interrogation through a channel and runs the simulator
     /// until the reply arrives (or the retry policy is exhausted).
     ///
@@ -627,7 +623,7 @@ impl Engine {
         args: &Value,
     ) -> Result<Payload, EngError> {
         let native = self.handle(client)?.native;
-        Ok(Payload::new(self.encode_invocation(native, op, args)))
+        Ok(Payload::new(encode_invocation(native, op, args)))
     }
 
     /// Like [`Engine::call`], but with a payload already encoded by
@@ -807,7 +803,7 @@ impl Engine {
         let dst = self.nucleus_addr(believed_node)?;
         let payload = match prepared {
             Some(p) => p.clone(),
-            None => Payload::new(self.encode_invocation(client_native, op, args)),
+            None => Payload::new(encode_invocation(client_native, op, args)),
         };
         let attempts = retry.retries + 1;
         let overall = self.sim.now() + retry.deadline;
@@ -927,22 +923,7 @@ impl Engine {
                     .unwrap_or_else(|| "rejected".to_owned());
                 Err(CallError::Rejected { detail })
             }
-            ReplyStatus::Ok => {
-                let value = syntax_for(reply.syntax)
-                    .decode(&reply.payload)
-                    .map_err(|e| CallError::BadReply {
-                        detail: e.to_string(),
-                    })?;
-                let name = value
-                    .field("name")
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| CallError::BadReply {
-                        detail: "termination has no name".into(),
-                    })?
-                    .to_owned();
-                let results = value.field("results").cloned().unwrap_or(Value::Null);
-                Ok(Termination::new(name, results))
-            }
+            ReplyStatus::Ok => decode_termination(reply.syntax, &reply.payload),
         }
     }
 
@@ -968,7 +949,7 @@ impl Engine {
         let client_native = self.handle(client)?.native;
         let driver = self.driver_addr(client)?;
         let dst = self.nucleus_addr(believed_node)?;
-        let payload = self.encode_invocation(client_native, op, args);
+        let payload = encode_invocation(client_native, op, args);
         let mut env = Envelope::announce(channel, target, client_native, payload);
         {
             let cc = self.channels.get_mut(&channel).expect("checked above");
@@ -1381,7 +1362,7 @@ impl Engine {
         let client_native = self.handle(client)?.native;
         let driver = self.driver_addr(client)?;
         let dst = self.nucleus_addr(believed_node)?;
-        let payload = self.encode_invocation(client_native, op, args);
+        let payload = encode_invocation(client_native, op, args);
         let request_id = self.next_request;
         self.next_request += 1;
         // Async calls get the same span shape as the blocking path —

@@ -11,6 +11,8 @@
 //!   objects (Figure 4): marshalling stubs (access transparency), audit
 //!   stubs, sequence binders (capture-and-replay protection);
 //! - [`envelope`] — the wire format carried by protocol objects;
+//! - [`invocation`] — the invocation and termination bodies an
+//!   envelope carries, encoded from borrowed parts;
 //! - [`behaviour`] — executable behaviour of basic engineering objects
 //!   and the registry used by reactivation/migration;
 //! - [`nucleus`] — the per-node kernel run as a simulator process;
@@ -49,6 +51,7 @@ pub mod behaviour;
 pub mod channel;
 pub mod engine;
 pub mod envelope;
+pub mod invocation;
 pub mod nucleus;
 pub mod population;
 pub mod structure;

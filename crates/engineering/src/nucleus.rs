@@ -20,6 +20,7 @@ use rmodp_netsim::time::SimTime;
 use crate::behaviour::ServerBehaviour;
 use crate::channel::{ChannelError, Stack};
 use crate::envelope::{Envelope, EnvelopeKind, ReplyStatus};
+use crate::invocation::{decode_invocation, encode_termination};
 use crate::structure::{BeoRecord, Cluster, ClusterCheckpoint, NodeStructure, ObjectCheckpoint};
 
 /// The port a node's nucleus listens on.
@@ -468,21 +469,6 @@ impl NucleusProcess {
         Some(behaviour.invoke(state, invocation))
     }
 
-    fn decode_invocation(&self, syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
-        let value = syntax_for(syntax).decode(payload).ok()?;
-        let op = value.field("op")?.as_text()?.to_owned();
-        let args = value.field("args").cloned().unwrap_or(Value::Null);
-        Some(Invocation::new(op, args))
-    }
-
-    fn encode_termination(&self, termination: &Termination) -> Vec<u8> {
-        let value = Value::record([
-            ("name", Value::text(termination.name.clone())),
-            ("results", termination.results.clone()),
-        ]);
-        syntax_for(self.native).encode(&value)
-    }
-
     fn send_reply(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -525,10 +511,12 @@ impl NucleusProcess {
             self.send_reply(ctx, &env, ReplyStatus::NotHere, payload, src);
             return;
         };
-        let Some(invocation) = self.decode_invocation(env.syntax, &env.payload) else {
+        let Some(invocation) = decode_invocation(env.syntax, &env.payload) else {
             self.stats.rejected += 1;
-            let payload =
-                Payload::new(self.encode_termination(&Termination::error("bad invocation")));
+            let payload = Payload::new(encode_termination(
+                self.native,
+                Termination::error("bad invocation"),
+            ));
             self.dedup_done(&env, ReplyStatus::Rejected, &payload);
             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
             return;
@@ -542,7 +530,7 @@ impl NucleusProcess {
                 _ => Termination::error("object has no behaviour"),
             }
         };
-        let payload = Payload::new(self.encode_termination(&termination));
+        let payload = Payload::new(encode_termination(self.native, termination));
         self.dedup_done(&env, ReplyStatus::Ok, &payload);
         self.send_reply(ctx, &env, ReplyStatus::Ok, payload, src);
     }
@@ -581,7 +569,7 @@ impl NucleusProcess {
             self.queue.len()
         ))
         .emit();
-        let payload = Payload::new(self.encode_termination(&Termination::error(reason)));
+        let payload = Payload::new(encode_termination(self.native, Termination::error(reason)));
         self.dedup_done(env, ReplyStatus::Rejected, &payload);
         self.send_reply(ctx, env, ReplyStatus::Rejected, payload, reply_to);
     }
@@ -677,9 +665,10 @@ impl NucleusProcess {
                         self.stats.rejected += 1;
                         ctx.note(format!("replay foiled (seq {seq})"));
                         if env.kind == EnvelopeKind::Request {
-                            let payload = Payload::new(
-                                self.encode_termination(&Termination::error("replay")),
-                            );
+                            let payload = Payload::new(encode_termination(
+                                self.native,
+                                Termination::error("replay"),
+                            ));
                             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
                         }
                         return;
@@ -731,7 +720,7 @@ impl NucleusProcess {
             }
             EnvelopeKind::Announce => {
                 if let Some(&object) = self.routing.get(&env.target) {
-                    if let Some(invocation) = self.decode_invocation(env.syntax, &env.payload) {
+                    if let Some(invocation) = decode_invocation(env.syntax, &env.payload) {
                         self.stats.announcements += 1;
                         if let (Some(b), Some(s)) = (
                             self.behaviours.get_mut(&object),

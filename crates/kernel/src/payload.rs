@@ -16,7 +16,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use rmodp_observe::bus;
 
@@ -40,10 +40,12 @@ pub struct Payload {
 }
 
 impl Payload {
-    /// An empty payload (no allocation).
+    /// An empty payload. Every empty payload shares one buffer, so this
+    /// allocates nothing.
     pub fn empty() -> Self {
+        static EMPTY: LazyLock<Arc<[u8]>> = LazyLock::new(|| Arc::from([] as [u8; 0]));
         Payload {
-            data: Arc::from([] as [u8; 0]),
+            data: Arc::clone(&EMPTY),
             start: 0,
             end: 0,
         }
@@ -194,6 +196,13 @@ mod tests {
         assert_eq!(&h[..], b"hello");
         assert_eq!(bus::counter(PAYLOAD_ALLOCS), 1);
         assert_eq!(bus::counter(PAYLOAD_COPIES), 0);
+    }
+
+    #[test]
+    fn empty_payloads_share_one_buffer() {
+        let (a, b) = (Payload::empty(), Payload::empty());
+        assert!(a.is_empty());
+        assert!(a.shares_buffer_with(&b));
     }
 
     #[test]

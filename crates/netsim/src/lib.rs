@@ -18,6 +18,11 @@
 //! - a [`topology::Topology`] gives every node pair a latency /
 //!   jitter / loss configuration and supports partitions and node crashes.
 //!
+//! Every send, delivery, drop, timer and note is an event on the
+//! [`rmodp_observe`] bus, causally spanned: the bus is the simulator's
+//! one trace sink (read it with `rmodp_observe::bus::snapshot_events`).
+//! [`Sim::metrics`](sim::Sim::metrics) keeps only cumulative counts.
+//!
 //! # Example
 //!
 //! ```
@@ -48,10 +53,8 @@
 pub mod sim;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use rmodp_kernel::payload::Payload;
-pub use sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
+pub use sim::{Addr, Ctx, Message, Metrics, NodeIdx, Process, ShardAction, Sim};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkConfig, Topology};
-pub use trace::{Metrics, TraceEntry, TraceKind};

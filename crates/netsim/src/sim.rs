@@ -15,7 +15,6 @@ use rmodp_observe::{bus, event, EventKind, Layer};
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{Metrics, TraceEntry, TraceKind};
 
 /// Index of a node within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,7 +183,7 @@ impl<'a> Ctx<'a> {
         self.rng.gen_range(0..bound)
     }
 
-    /// Records an application-level note in the trace.
+    /// Records an application-level note on the observe bus.
     pub fn note(&mut self, detail: impl Into<String>) {
         self.out.push(Command::Note(detail.into()));
     }
@@ -242,6 +241,52 @@ struct ShardRouting {
     sent: u64,
 }
 
+/// Cumulative counters maintained by the simulator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Messages handed to the network.
+    pub sent: u64,
+    /// Messages delivered to a process.
+    pub delivered: u64,
+    /// Messages dropped by random loss.
+    pub dropped_loss: u64,
+    /// Messages dropped because the nodes were partitioned.
+    pub dropped_partition: u64,
+    /// Messages dropped because an endpoint was crashed.
+    pub dropped_crash: u64,
+    /// Messages dropped because no process was attached at the destination.
+    pub dropped_unroutable: u64,
+    /// Timers that fired.
+    pub timers_fired: u64,
+    /// Total payload bytes delivered.
+    pub bytes_delivered: u64,
+}
+
+impl Metrics {
+    /// All drops combined.
+    pub fn dropped(&self) -> u64 {
+        self.dropped_loss + self.dropped_partition + self.dropped_crash + self.dropped_unroutable
+    }
+}
+
+impl fmt::Display for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sent={} delivered={} dropped={} (loss={} partition={} crash={} unroutable={}) timers={} bytes={}",
+            self.sent,
+            self.delivered,
+            self.dropped(),
+            self.dropped_loss,
+            self.dropped_partition,
+            self.dropped_crash,
+            self.dropped_unroutable,
+            self.timers_fired,
+            self.bytes_delivered,
+        )
+    }
+}
+
 /// The simulation engine. See the [crate docs](crate) for an example.
 ///
 /// Scheduling is delegated to the kernel's [`EventQueue`]: one totally
@@ -256,8 +301,6 @@ pub struct Sim {
     nodes: u32,
     cancelled: BTreeSet<TimerId>,
     metrics: Metrics,
-    trace: Vec<TraceEntry>,
-    tracing: bool,
     shard: Option<ShardRouting>,
 }
 
@@ -295,8 +338,6 @@ impl Sim {
             nodes: 0,
             cancelled: BTreeSet::new(),
             metrics: Metrics::default(),
-            trace: Vec::new(),
-            tracing: false,
             shard: None,
         }
     }
@@ -395,16 +436,6 @@ impl Sim {
         self.metrics
     }
 
-    /// Enables or disables trace collection.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Takes the collected trace, leaving it empty.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Injects a message into the network as if sent by `src` now.
     ///
     /// Drivers typically use [`Addr::EXTERNAL`] as the source.
@@ -470,17 +501,6 @@ impl Sim {
         self.run_until(self.now() + d)
     }
 
-    fn record(&mut self, kind: TraceKind, addr: Addr, detail: impl Into<String>) {
-        if self.tracing {
-            self.trace.push(TraceEntry {
-                at: self.queue.now(),
-                kind,
-                addr,
-                detail: detail.into(),
-            });
-        }
-    }
-
     /// Builds a located event: node/port coordinates attached unless the
     /// address is the external injector.
     fn located(kind: EventKind, addr: Addr) -> rmodp_observe::EventBuilder {
@@ -492,8 +512,7 @@ impl Sim {
         }
     }
 
-    fn drop_msg(&mut self, span: u64, at: Addr, reason: &'static str) {
-        self.record(TraceKind::Drop, at, reason);
+    fn drop_msg(span: u64, at: Addr, reason: &'static str) {
         Self::located(EventKind::Drop, at)
             .span(span)
             .detail(reason)
@@ -514,20 +533,15 @@ impl Sim {
             .detail(format!("-> {dst} ({} bytes)", payload.len()))
             .emit();
         bus::counter_add("netsim.sent", 1);
-        self.record(
-            TraceKind::Send,
-            src,
-            format!("-> {dst} ({} bytes)", payload.len()),
-        );
         if self.topology.is_crashed(dst.node) || self.topology.is_crashed(src.node) {
             self.metrics.dropped_crash += 1;
-            self.drop_msg(span, dst, "endpoint crashed");
+            Self::drop_msg(span, dst, "endpoint crashed");
             return;
         }
         let cross_node = src.node != dst.node && src != Addr::EXTERNAL;
         if cross_node && !self.topology.connected(src.node, dst.node) {
             self.metrics.dropped_partition += 1;
-            self.drop_msg(span, dst, "partitioned");
+            Self::drop_msg(span, dst, "partitioned");
             return;
         }
         let latency = if !cross_node {
@@ -536,7 +550,7 @@ impl Sim {
             let link = self.topology.link(src.node, dst.node);
             if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
                 self.metrics.dropped_loss += 1;
-                self.drop_msg(span, dst, "random loss");
+                Self::drop_msg(span, dst, "random loss");
                 return;
             }
             let jitter_us = link.jitter.as_micros();
@@ -582,31 +596,16 @@ impl Sim {
         let dst = msg.dst;
         if self.topology.is_crashed(dst.node) {
             self.metrics.dropped_crash += 1;
-            self.record(TraceKind::Drop, dst, "destination crashed in flight");
-            Self::located(EventKind::Drop, dst)
-                .span(span)
-                .detail("destination crashed in flight")
-                .emit();
-            bus::counter_add("netsim.dropped", 1);
+            Self::drop_msg(span, dst, "destination crashed in flight");
             return;
         }
         let Some(mut process) = self.procs.remove(&dst) else {
             self.metrics.dropped_unroutable += 1;
-            self.record(TraceKind::Drop, dst, "no process attached");
-            Self::located(EventKind::Drop, dst)
-                .span(span)
-                .detail("no process attached")
-                .emit();
-            bus::counter_add("netsim.dropped", 1);
+            Self::drop_msg(span, dst, "no process attached");
             return;
         };
         self.metrics.delivered += 1;
         self.metrics.bytes_delivered += msg.payload.len() as u64;
-        self.record(
-            TraceKind::Deliver,
-            dst,
-            format!("<- {} ({} bytes)", msg.src, msg.payload.len()),
-        );
         Self::located(EventKind::Deliver, dst)
             .span(span)
             .detail(format!("<- {} ({} bytes)", msg.src, msg.payload.len()))
@@ -641,18 +640,12 @@ impl Sim {
             return;
         }
         if self.topology.is_crashed(addr.node) {
-            self.record(
-                TraceKind::Drop,
-                addr,
-                format!("timer {tag} on crashed node"),
-            );
             return;
         }
         let Some(mut process) = self.procs.remove(&addr) else {
             return;
         };
         self.metrics.timers_fired += 1;
-        self.record(TraceKind::Timer, addr, format!("tag={tag}"));
         Self::located(EventKind::TimerFired, addr)
             .detail(format!("tag={tag}"))
             .emit();
@@ -708,10 +701,7 @@ impl Sim {
                     self.cancelled.insert(id);
                 }
                 Command::Note(detail) => {
-                    Self::located(EventKind::Note, from)
-                        .detail(detail.clone())
-                        .emit();
-                    self.record(TraceKind::Note, from, detail);
+                    Self::located(EventKind::Note, from).detail(detail).emit();
                 }
             }
         }
@@ -1002,12 +992,14 @@ mod tests {
             let (pa, pb) = (Addr::new(a, 0), Addr::new(b, 0));
             sim.attach(pa, Recorder::new(true));
             sim.attach(pb, Recorder::new(false));
-            sim.set_tracing(true);
             for i in 0..50 {
                 sim.send_from(pb, pa, vec![i]);
             }
             sim.run_until_idle();
-            sim.take_trace().iter().map(|e| e.to_string()).collect()
+            bus::take_events()
+                .iter()
+                .map(rmodp_observe::export::event_to_json)
+                .collect()
         }
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
@@ -1130,28 +1122,37 @@ mod tests {
     }
 
     #[test]
+    fn dropped_sums_all_reasons() {
+        let m = Metrics {
+            dropped_loss: 1,
+            dropped_partition: 2,
+            dropped_crash: 3,
+            dropped_unroutable: 4,
+            ..Metrics::default()
+        };
+        assert_eq!(m.dropped(), 10);
+        assert!(m.to_string().contains("dropped=10"));
+    }
+
+    #[test]
     fn jitter_varies_latency_within_bounds() {
         let link = LinkConfig::with_latency(SimDuration::from_millis(1))
             .jitter(SimDuration::from_millis(4));
         let (mut sim, pa, pb) = two_node_sim(link);
         sim.attach(pa, Recorder::new(false));
-        struct Stamp;
-        // Measure per-message delivery times through the trace.
-        sim.set_tracing(true);
-        let _ = Stamp;
+        // Measure per-message delivery times through the bus trace.
         for _ in 0..100 {
             sim.send_from(pb, pa, vec![0]);
         }
         sim.run_until_idle();
-        let deliveries: Vec<SimTime> = sim
-            .take_trace()
+        let deliveries: Vec<u64> = bus::take_events()
             .into_iter()
-            .filter(|e| e.kind == TraceKind::Deliver)
-            .map(|e| e.at)
+            .filter(|e| e.kind == EventKind::Deliver)
+            .map(|e| e.t_us)
             .collect();
         assert_eq!(deliveries.len(), 100);
-        let min = deliveries.iter().min().unwrap().as_micros();
-        let max = deliveries.iter().max().unwrap().as_micros();
+        let min = *deliveries.iter().min().unwrap();
+        let max = *deliveries.iter().max().unwrap();
         assert!(min >= 1_000, "min={min}");
         assert!(max <= 5_000, "max={max}");
         assert!(max > min, "jitter should spread deliveries");

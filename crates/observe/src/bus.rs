@@ -79,9 +79,9 @@ struct BusState {
     events: VecDeque<Event>,
     metrics: Registry,
     drops: DropStats,
-    /// First-declared parent of each span (learned from every event,
-    /// sampled-out ones included, so late events of a rejected tree
-    /// still resolve to the same root).
+    /// First-declared parent of each span, learned only while sampling
+    /// (from every event, sampled-out ones included, so late events of
+    /// a rejected tree still resolve to the same root).
     parent_of: BTreeMap<SpanId, SpanId>,
     /// Memoised root of each span's parent chain.
     root_of: BTreeMap<SpanId, SpanId>,
@@ -196,6 +196,11 @@ pub fn is_enabled() -> bool {
 
 /// Installs collection bounds (see the module docs). Takes effect for
 /// subsequent events; already-buffered events stay. Survives [`reset`].
+///
+/// Sampling applies to causal trees started after it is switched on:
+/// the bus learns parent links only while sampling, so an event whose
+/// tree began earlier resolves to the oldest ancestor seen since then.
+/// Install the config before the run, as [`reset`] keeps it.
 pub fn set_collect(config: CollectConfig) {
     BUS.with(|b| b.borrow_mut().collect = config);
 }
@@ -270,16 +275,20 @@ pub(crate) fn record(builder: EventBuilder) -> Option<u64> {
         if !s.enabled {
             return None;
         }
-        // Learn the span's parent link before any keep/drop decision, so
-        // every later event of this tree resolves to the same root.
-        if let (Some(span), Some(parent)) = (builder.span, builder.parent) {
-            s.parent_of.entry(span).or_insert(parent);
+        let sampling = s.collect.sample_denom;
+        // Under sampling, learn the span's parent link before any
+        // keep/drop decision, so every later event of this tree resolves
+        // to the same root. Without sampling nothing reads the links.
+        if sampling.is_some() {
+            if let (Some(span), Some(parent)) = (builder.span, builder.parent) {
+                s.parent_of.entry(span).or_insert(parent);
+            }
         }
         // Sequence numbers are allocated unconditionally: a sampled
         // trace is the full trace filtered, gaps and all.
         let seq = s.next_seq;
         s.next_seq += 1;
-        if let Some(denom) = s.collect.sample_denom {
+        if let Some(denom) = sampling {
             if let Some(key) = builder.span.or(builder.parent) {
                 let root = s.root(key);
                 if !sample_admits(root, denom) {
@@ -552,6 +561,32 @@ mod tests {
             .collect();
         assert_eq!(sampled, expected);
         assert!(sampled.len() < full.len());
+    }
+
+    #[test]
+    fn parent_links_are_kept_only_while_sampling() {
+        let emit_pairs = || {
+            for _ in 0..16 {
+                let root = new_span();
+                EventBuilder::new(Layer::Netsim, EventKind::Send)
+                    .span(new_span())
+                    .parent(root)
+                    .emit();
+            }
+        };
+        let links = || BUS.with(|b| b.borrow().parent_of.len());
+        unbounded();
+        emit_pairs();
+        assert_eq!(event_count(), 16);
+        assert_eq!(links(), 0, "an unsampled run keeps no parent links");
+        set_collect(CollectConfig {
+            ring_capacity: None,
+            sample_denom: Some(2),
+        });
+        reset();
+        emit_pairs();
+        assert_eq!(links(), 16);
+        unbounded();
     }
 
     #[test]

@@ -168,22 +168,38 @@ impl Registry {
         Self::default()
     }
 
-    /// Adds to a counter, creating it at 0 first if absent.
+    /// Adds to a counter, creating it at 0 first if absent (so adding 0
+    /// registers the name). Allocates only for a new name.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
-    /// Sets a gauge.
+    /// Sets a gauge. Allocates only for a new name.
     pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_owned(), v);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_owned(), v);
+            }
+        }
     }
 
-    /// Records a histogram sample.
+    /// Records a histogram sample. Allocates only for a new name (and
+    /// when the histogram itself grows).
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Reads a counter (0 if absent).
@@ -354,10 +370,13 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("a.b", 2);
         r.counter_add("a.b", 3);
+        r.counter_add("zero", 0);
+        r.gauge_set("g", 4);
         r.gauge_set("g", -7);
         r.observe("h", 10);
         r.observe("h", 20);
         assert_eq!(r.counter("a.b"), 5);
+        assert_eq!(r.counters().collect::<Vec<_>>(), [("a.b", 5), ("zero", 0)]);
         assert_eq!(r.gauge("g"), Some(-7));
         assert_eq!(r.histogram("h").unwrap().count(), 2);
         let rendered = r.render();

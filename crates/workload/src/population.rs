@@ -42,6 +42,7 @@ use rmodp_core::id::{CapsuleId, ChannelId, ClusterId, InterfaceId, NodeId, Objec
 use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::ServerBehaviour;
 use rmodp_engineering::envelope::{Envelope, EnvelopeKind, ReplyStatus};
+use rmodp_engineering::invocation::encode_invocation;
 use rmodp_engineering::nucleus::{NucleusProcess, DRIVER_PORT, NUCLEUS_PORT};
 use rmodp_engineering::population::{BankBranchBehaviour, TraderDeskBehaviour};
 use rmodp_engineering::structure::BeoRecord;
@@ -403,8 +404,7 @@ impl ClientHubProcess {
         let h = mix(self.seed, req);
         let (op, args, _code) = self.scenario.op(h);
         let target = self.target_region(req);
-        let payload = syntax_for(SyntaxId::Binary)
-            .encode(&Value::record([("op", Value::text(op)), ("args", args)]));
+        let payload = encode_invocation(SyntaxId::Binary, op, &args);
         let env = Envelope::request(
             ChannelId::new(0),
             req,
