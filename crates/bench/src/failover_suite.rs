@@ -8,7 +8,8 @@
 //! §E14): availability over the whole schedule, the failover-MTTR
 //! distribution, fenced-write and quorum-loss counters, and the
 //! [`GroupOracle`] consistency verdict — whose `lost_committed` and
-//! `split_brain` counts are zero-banded in the perf gate.
+//! `split_brain` counts are pinned, with every other byte, by the
+//! golden test against `tests/baselines/BENCH_failover.json`.
 //!
 //! Everything runs on virtual time with seeded RNGs: probe timeouts,
 //! election fan-outs, and partition windows all consume deterministic

@@ -11,7 +11,6 @@ pub mod chaos_suite;
 pub mod failover_suite;
 pub mod mechanisms;
 pub mod oo7_suite;
-pub mod perf;
 pub mod population_suite;
 pub mod trader_suite;
 pub mod workload_suite;

@@ -1,87 +1,83 @@
 //! Golden artifact tests: the benchmark suites must reproduce the
-//! committed fixtures byte-for-byte.
+//! committed artifacts byte-for-byte.
 //!
-//! The fixtures under `tests/fixtures/` at the workspace root pin the
-//! scheduling, RNG streams, and payload sharing to exact behaviour:
-//! same seed → same events in the same order → the same JSON document,
-//! byte for byte. They were regenerated when the profiling PR landed —
-//! log-bucketed histograms changed quantile values, and the admission /
-//! call-span instrumentation added events to the streams the oracles
-//! count.
+//! Each pinned artifact has one copy, under `tests/baselines/` at the
+//! workspace root; each test runs its suite in the CI smoke job's
+//! configuration and compares the whole document with that copy. Same
+//! seed → same events in the same order → the same bytes, so any drift
+//! in a pinned figure fails here until the baseline is regenerated on
+//! purpose. The trader suite's CI configuration (50,000 offers, 160
+//! imports) is too slow for a debug-mode test: it is pinned at a
+//! reduced scale against `tests/fixtures/BENCH_trader.json`, and the
+//! smoke job `cmp`s the full run against its baseline.
 
-fn fixture(name: &str) -> String {
-    let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+use rmodp_bench::{
+    chaos_suite, failover_suite, mechanisms, oo7_suite, population_suite, trader_suite,
+    workload_suite,
+};
+
+fn assert_pinned(path: &str, produced: &str) {
+    let path = format!("{}/../../tests/{path}", env!("CARGO_MANIFEST_DIR"));
+    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    assert_eq!(produced, pinned, "drifted from {path}");
 }
 
 #[test]
-fn workload_suite_reproduces_committed_artifact() {
-    let golden = fixture("BENCH_workload.json");
-    let produced =
-        rmodp_bench::workload_suite::run_suite(rmodp_bench::workload_suite::DEFAULT_SEED);
-    assert_eq!(
-        produced, golden,
-        "BENCH_workload.json drifted from the committed fixture"
-    );
+fn workload_suite_reproduces_its_baseline() {
+    let produced = workload_suite::run_suite(workload_suite::DEFAULT_SEED);
+    assert_pinned("baselines/BENCH_workload.json", &produced);
 }
 
 #[test]
-fn chaos_suite_reproduces_committed_artifact() {
-    let golden = fixture("BENCH_chaos.json");
-    let produced = rmodp_bench::chaos_suite::run_suite(4_242);
-    assert_eq!(
-        produced, golden,
-        "BENCH_chaos.json drifted from the committed fixture"
-    );
+fn chaos_suite_reproduces_its_baseline() {
+    let produced = chaos_suite::run_suite(4_242);
+    assert_pinned("baselines/BENCH_chaos.json", &produced);
 }
 
 #[test]
-fn failover_suite_reproduces_committed_artifact() {
-    let golden = fixture("BENCH_failover.json");
-    let produced = rmodp_bench::failover_suite::run_suite(4_242);
-    assert_eq!(
-        produced, golden,
-        "BENCH_failover.json drifted from the committed fixture"
-    );
+fn failover_suite_reproduces_its_baseline() {
+    let produced = failover_suite::run_suite(4_242);
+    assert_pinned("baselines/BENCH_failover.json", &produced);
 }
 
 #[test]
-fn mechanisms_suite_is_deterministic() {
-    let first = rmodp_bench::mechanisms::run_suite(rmodp_bench::mechanisms::DEFAULT_SEED);
-    let second = rmodp_bench::mechanisms::run_suite(rmodp_bench::mechanisms::DEFAULT_SEED);
-    assert_eq!(first, second, "mechanisms suite must be byte-identical");
-    assert!(first.starts_with("{\"schema\":\"rmodp-bench-mechanisms/1\""));
+fn mechanisms_suite_reproduces_its_baseline() {
+    let produced = mechanisms::run_suite(mechanisms::DEFAULT_SEED);
+    assert_pinned("baselines/BENCH_mechanisms.json", &produced);
 }
 
 #[test]
-fn trader_suite_reproduces_committed_artifact() {
-    // A reduced scale of the CI configuration: plans, offers examined,
-    // the plan example and both engines' checksums are pinned.
-    let golden = fixture("BENCH_trader.json");
-    let produced =
-        rmodp_bench::trader_suite::run_suite(rmodp_bench::trader_suite::TraderBenchConfig {
-            offers: 5_000,
-            imports: 64,
-            seed: 42,
-        });
-    assert_eq!(
-        produced, golden,
-        "BENCH_trader.json drifted from the committed fixture"
-    );
+fn population_suite_reproduces_its_baseline() {
+    // The full shard matrix {1, 2, 4} at CI scale, wall-clock off.
+    let produced = population_suite::run_suite(population_suite::PopulationBenchConfig {
+        seed: 4_242,
+        shards: None,
+        scale: 0,
+        measure: false,
+    });
+    assert_pinned("baselines/BENCH_population.json", &produced);
 }
 
 #[test]
-fn oo7_suite_reproduces_committed_artifact() {
-    // The CI smoke configuration: WAL and snapshot sizes, compactions,
-    // recovery counts and the state checksums are pinned.
-    let golden = fixture("BENCH_oo7.json");
-    let produced = rmodp_bench::oo7_suite::run_suite(rmodp_bench::oo7_suite::Oo7BenchConfig {
+fn oo7_suite_reproduces_its_baseline() {
+    // WAL and snapshot sizes, compactions, recovery counts (zero lost
+    // updates) and the state checksums are pinned.
+    let produced = oo7_suite::run_suite(oo7_suite::Oo7BenchConfig {
         scale: 0,
         update_batches: 12,
         seed: 7,
     });
-    assert_eq!(
-        produced, golden,
-        "BENCH_oo7.json drifted from the committed fixture"
-    );
+    assert_pinned("baselines/BENCH_oo7.json", &produced);
+}
+
+#[test]
+fn trader_suite_reproduces_its_fixture() {
+    // Plans, offers examined, the plan example and both engines'
+    // checksums are pinned.
+    let produced = trader_suite::run_suite(trader_suite::TraderBenchConfig {
+        offers: 5_000,
+        imports: 64,
+        seed: 42,
+    });
+    assert_pinned("fixtures/BENCH_trader.json", &produced);
 }

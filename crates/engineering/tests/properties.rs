@@ -1,5 +1,6 @@
-//! Property tests for the engineering layer: envelope codec totality,
-//! channel-stack inverses, and checkpoint/migration state preservation.
+//! Property tests for the engineering layer: channel-stack inverses and
+//! checkpoint/migration state preservation. The envelope codec's own
+//! properties are in `envelope_decoder.rs`.
 
 use proptest::prelude::*;
 
@@ -24,33 +25,6 @@ fn arb_payload_value() -> impl Strategy<Value = Value> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn envelope_codec_round_trips(
-        channel in any::<u64>(),
-        request in any::<u64>(),
-        seq in any::<u64>(),
-        target in any::<u64>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-        text_syntax in any::<bool>(),
-    ) {
-        let syntax = if text_syntax { SyntaxId::Text } else { SyntaxId::Binary };
-        let mut env = Envelope::request(
-            ChannelId::new(channel),
-            request,
-            InterfaceId::new(target),
-            syntax,
-            payload,
-        );
-        env.seq = seq;
-        let back = Envelope::from_bytes(&env.to_bytes()).unwrap();
-        prop_assert_eq!(back, env);
-    }
-
-    #[test]
-    fn envelope_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Envelope::from_bytes(&bytes);
-    }
 
     /// A marshalling round trip through any wire syntax preserves the
     /// payload value exactly (access transparency's core guarantee).

@@ -37,6 +37,7 @@
 //! do not.
 
 use crate::event::{Event, EventBuilder, SpanId};
+use crate::hash::{fnv1a, FNV_OFFSET_BASIS};
 use crate::metrics::{Histogram, Registry};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -146,21 +147,11 @@ pub fn approx_event_bytes(e: &Event) -> usize {
     std::mem::size_of::<Event>() + e.detail.len()
 }
 
-/// FNV-1a over the root span id — the pure sampling hash.
-fn fnv1a(v: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Whether head-based sampling at 1-in-`denom` admits the causal tree
 /// rooted at `root`. Pure: tests and analyzers can predict exactly which
 /// invocations a sampled run kept.
 pub fn sample_admits(root: SpanId, denom: u64) -> bool {
-    fnv1a(root).is_multiple_of(denom.max(1))
+    fnv1a(FNV_OFFSET_BASIS, &root.to_le_bytes()).is_multiple_of(denom.max(1))
 }
 
 /// Clears the bus: events, metrics, counters, clock, drop counters,

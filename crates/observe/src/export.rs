@@ -8,7 +8,11 @@ use crate::event::{Event, EventKind, Layer};
 use crate::metrics::Registry;
 use std::collections::BTreeMap;
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as the body of a JSON string (without the
+/// surrounding quotes): `"`, `\` and control characters are escaped,
+/// everything else is copied as is. The trace exporter, the SLO report
+/// and the chaos recovery report all write their text fields through it.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -271,11 +275,11 @@ mod tests {
     #[test]
     fn jsonl_is_deterministic_and_escaped() {
         let mut e = ev(0, EventKind::Send, Some(1), None);
-        e.detail = "say \"hi\"\nline2\\".into();
+        e.detail = "say \"hi\"\nline2\\\u{1}\té".into();
         let line = event_to_json(&e);
         assert_eq!(
             line,
-            "{\"seq\":0,\"t_us\":0,\"layer\":\"netsim\",\"kind\":\"send\",\"span\":1,\"node\":0,\"channel\":3,\"detail\":\"say \\\"hi\\\"\\nline2\\\\\"}"
+            "{\"seq\":0,\"t_us\":0,\"layer\":\"netsim\",\"kind\":\"send\",\"span\":1,\"node\":0,\"channel\":3,\"detail\":\"say \\\"hi\\\"\\nline2\\\\\\u0001\\té\"}"
         );
         let evs = vec![
             ev(0, EventKind::Send, Some(1), None),

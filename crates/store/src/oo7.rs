@@ -30,10 +30,10 @@ use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::dtype::DataType;
 use rmodp_core::value::Value;
 use rmodp_information::schema::StaticSchema;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 
 use crate::engine::{StoreEngine, StoreError};
 use crate::media::StableMedia;
-use crate::wal::fnv1a;
 
 /// Deterministic 64-bit mixer (splitmix64 finaliser).
 fn mix(seed: u64, i: u64) -> u64 {
@@ -515,7 +515,7 @@ impl Oo7Workload {
     /// once, ring + cross connections followed).
     pub fn traverse_dense<M: StableMedia>(&self, engine: &StoreEngine<M>) -> TraversalReport {
         let mut report = TraversalReport::default();
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         let mut stack = vec![0u64];
         while let Some(id) = stack.pop() {
             report.visited += 1;
@@ -535,7 +535,7 @@ impl Oo7Workload {
                             .get(&Self::atomic_key(composite, local))
                             .expect("loaded atomic exists");
                         let x = state.field("x").and_then(Value::as_int).expect("typed");
-                        checksum = fnv1a(&(checksum ^ x as u64).to_le_bytes());
+                        checksum = fnv1a(FNV_OFFSET_BASIS, &(checksum ^ x as u64).to_le_bytes());
                         for conn in state.field("conn").and_then(Value::as_seq).expect("typed") {
                             let next = conn.as_int().expect("typed") as u32;
                             if !seen[next as usize] {
@@ -557,7 +557,7 @@ impl Oo7Workload {
     /// composite's *root* atomic only.
     pub fn traverse_sparse<M: StableMedia>(&self, engine: &StoreEngine<M>) -> TraversalReport {
         let mut report = TraversalReport::default();
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         let mut stack = vec![0u64];
         while let Some(id) = stack.pop() {
             report.visited += 1;
@@ -569,7 +569,7 @@ impl Oo7Workload {
                         .get(&Self::atomic_key(composite, 0))
                         .expect("loaded atomic exists");
                     let x = state.field("x").and_then(Value::as_int).expect("typed");
-                    checksum = fnv1a(&(checksum ^ x as u64).to_le_bytes());
+                    checksum = fnv1a(FNV_OFFSET_BASIS, &(checksum ^ x as u64).to_le_bytes());
                 }
             } else {
                 stack.extend(children.into_iter().rev());
@@ -642,7 +642,10 @@ impl Oo7Workload {
             .and_then(Value::as_text)
             .expect("typed")
             .len();
-        fnv1a(&(date as u64 ^ ((title_len as u64) << 32)).to_le_bytes())
+        fnv1a(
+            FNV_OFFSET_BASIS,
+            &(date as u64 ^ ((title_len as u64) << 32)).to_le_bytes(),
+        )
     }
 
     /// Range query over the `build_date` index: composites built within
@@ -655,7 +658,7 @@ impl Oo7Workload {
         hi: i64,
     ) -> (u64, u64) {
         let mut matches = 0u64;
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         for (&date, ids) in self.date_index.range(lo..=hi) {
             for &id in ids {
                 let stored = engine
@@ -665,7 +668,10 @@ impl Oo7Workload {
                     .expect("loaded composite has a date");
                 assert_eq!(stored, date, "index and store agree");
                 matches += 1;
-                checksum = fnv1a(&(checksum ^ (id as u64) ^ (date as u64)).to_le_bytes());
+                checksum = fnv1a(
+                    FNV_OFFSET_BASIS,
+                    &(checksum ^ (id as u64) ^ (date as u64)).to_le_bytes(),
+                );
             }
         }
         (matches, checksum)
@@ -701,9 +707,11 @@ impl Oo7Workload {
 /// the equality the crash-recovery assertions compare.
 pub fn state_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
     let codec = syntax_for(SyntaxId::Binary);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET_BASIS;
     for (key, value) in engine.state() {
-        h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&codec.encode(value));
+        h = fnv1a(FNV_OFFSET_BASIS, &h.to_le_bytes())
+            ^ fnv1a(FNV_OFFSET_BASIS, key.as_bytes())
+            ^ fnv1a(FNV_OFFSET_BASIS, &codec.encode(value));
     }
     h
 }

@@ -30,20 +30,11 @@ use rmodp_core::codec::binary::{
 use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 use rmodp_transactions::log::LogRecord;
 
 /// Bytes of a frame header: `len` then `fnv1a`.
 const HEADER: usize = 12;
-
-/// FNV-1a over a byte slice — the per-frame checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Appends one checksummed frame to `out`: reserves the header, lets
 /// `payload` append the payload, then patches in its length and FNV-1a.
@@ -52,7 +43,7 @@ pub(crate) fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&[0; HEADER]);
     payload(out);
     let body = &out[start + HEADER..];
-    let (len, crc) = (body.len() as u32, fnv1a(body));
+    let (len, crc) = (body.len() as u32, fnv1a(FNV_OFFSET_BASIS, body));
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
@@ -69,7 +60,7 @@ pub(crate) fn unframe(bytes: &[u8]) -> Result<(&[u8], usize), &'static str> {
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
     let crc = u64::from_le_bytes(header[4..HEADER].try_into().expect("8 bytes"));
     let payload = bytes.get(HEADER..HEADER + len).ok_or("payload truncated")?;
-    if fnv1a(payload) != crc {
+    if fnv1a(FNV_OFFSET_BASIS, payload) != crc {
         return Err("checksum mismatch");
     }
     Ok((payload, HEADER + len))

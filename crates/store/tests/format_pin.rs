@@ -10,7 +10,7 @@
 //! or compaction re-framing shows up here, byte for byte.
 
 use rmodp_core::value::Value;
-use rmodp_store::wal::fnv1a;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 use rmodp_store::{MemMedia, Oo7Config, Oo7Workload, StableMedia, StoreConfig, StoreEngine};
 
 /// [`MemMedia`] that keeps a copy of every byte written to it, each
@@ -98,9 +98,9 @@ fn run_history() -> (StoreEngine<Recorder>, Pins) {
     let media = engine.media_mut();
     let snapshot = media.snapshot_bytes().expect("compacted").to_vec();
     let pins = [
-        (media.trail.len(), fnv1a(&media.trail)),
-        (media.wal_len(), fnv1a(media.wal_bytes())),
-        (snapshot.len(), fnv1a(&snapshot)),
+        (media.trail.len(), fnv1a(FNV_OFFSET_BASIS, &media.trail)),
+        (media.wal_len(), fnv1a(FNV_OFFSET_BASIS, media.wal_bytes())),
+        (snapshot.len(), fnv1a(FNV_OFFSET_BASIS, &snapshot)),
     ];
     (engine, pins)
 }

@@ -15,15 +15,16 @@ use proptest::prelude::*;
 use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 use rmodp_store::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
-use rmodp_store::wal::{decode_frames, encode_frame, fnv1a};
+use rmodp_store::wal::{decode_frames, encode_frame};
 use rmodp_transactions::log::LogRecord;
 
 /// `len | fnv1a | payload`, the frame layout, around given payload bytes.
 fn framed(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET_BASIS, payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }

@@ -28,22 +28,12 @@ use std::collections::BTreeSet;
 
 use rmodp_core::id::{InterfaceId, OfferId};
 use rmodp_core::value::Value;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 use rmodp_typerepo::TypeRepository;
 
 use crate::federation::{Federation, FederationError};
 use crate::store::IndexKind;
 use crate::trader::{ImportRequest, Match, Preference, Trader, TraderError};
-
-/// FNV-1a, the routing hash: stable across platforms and runs, so shard
-/// placement is deterministic.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Routing counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,7 +103,8 @@ impl ShardedFederation {
 
     /// The shard that owns a service type.
     pub fn shard_of(&self, service_type: &str) -> &str {
-        let i = (fnv1a(service_type) % self.names.len() as u64) as usize;
+        let i =
+            (fnv1a(FNV_OFFSET_BASIS, service_type.as_bytes()) % self.names.len() as u64) as usize;
         &self.names[i]
     }
 

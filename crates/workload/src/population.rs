@@ -51,6 +51,7 @@ use rmodp_kernel::{EpochHook, PartitionMap, ShardedKernel, SyncStats};
 use rmodp_netsim::sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
 use rmodp_netsim::topology::{LinkConfig, Topology};
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 
 use crate::arrival::ArrivalProcess;
 use crate::driver::RunStats;
@@ -77,18 +78,6 @@ const ROUTE_SALT: u64 = 0x2077_E221;
 const THINK_SALT: u64 = 0x7417_4B17;
 /// Seed salt splitting the per-shard simulator RNG streams.
 const SHARD_RNG_SALT: u64 = 0x5EED_0001;
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a 64-bit hash.
-pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Which population scenario to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -620,8 +609,8 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
         let state = nucleus
             .object_state(ObjectId::new(r as u64 + 1))
             .expect("server object installed");
-        state_checksum = fnv1a64(state_checksum, &r.to_le_bytes());
-        state_checksum = fnv1a64(state_checksum, &syntax_for(SyntaxId::Binary).encode(state));
+        state_checksum = fnv1a(state_checksum, &r.to_le_bytes());
+        state_checksum = fnv1a(state_checksum, &syntax_for(SyntaxId::Binary).encode(state));
     }
 
     completions.sort_by_key(Completion::sort_key);
@@ -631,8 +620,8 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
     let mut stats = RunStats::default();
     for c in &completions {
         let line = c.render(config.scenario);
-        export_checksum = fnv1a64(export_checksum, line.as_bytes());
-        export_checksum = fnv1a64(export_checksum, b"\n");
+        export_checksum = fnv1a(export_checksum, line.as_bytes());
+        export_checksum = fnv1a(export_checksum, b"\n");
         if let Some(out) = export.as_mut() {
             out.push_str(&line);
             out.push('\n');

@@ -16,6 +16,8 @@
 //!
 //! [`QosRequirement`]: rmodp_core::contract::QosRequirement
 
+use rmodp_observe::export::escape_into;
+
 use crate::driver::RunStats;
 use crate::scenario::Scenario;
 
@@ -227,10 +229,15 @@ impl SloReport {
     /// Serialises the report as deterministic JSON: fixed field order,
     /// integer microseconds, 3-decimal floats. Same run, same bytes.
     pub fn to_json(&self) -> String {
+        let text = |v: &str| {
+            let mut out = String::with_capacity(v.len());
+            escape_into(&mut out, v);
+            out
+        };
         let mut s = String::from("{");
-        s.push_str(&format!("\"scenario\":{:?}", self.scenario));
+        s.push_str(&format!("\"scenario\":\"{}\"", text(&self.scenario)));
         s.push_str(&format!(",\"seed\":{}", self.seed));
-        s.push_str(&format!(",\"load\":{:?}", self.load));
+        s.push_str(&format!(",\"load\":\"{}\"", text(&self.load)));
         s.push_str(&format!(",\"duration_us\":{}", self.duration_us));
         s.push_str(&format!(",\"elapsed_us\":{}", self.elapsed_us));
         s.push_str(&format!(",\"offered\":{}", self.offered));
@@ -262,8 +269,11 @@ impl SloReport {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"name\":{:?},\"bound\":{:?},\"achieved\":{:?},\"pass\":{}}}",
-                c.name, c.bound, c.achieved, c.pass
+                "{{\"name\":\"{}\",\"bound\":\"{}\",\"achieved\":\"{}\",\"pass\":{}}}",
+                text(&c.name),
+                text(&c.bound),
+                text(&c.achieved),
+                c.pass
             ));
         }
         s.push(']');
@@ -359,5 +369,22 @@ mod tests {
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"latency_us\":{\"p50\":"));
         assert!(a.contains("\"pass\":true"));
+    }
+
+    #[test]
+    fn json_escapes_string_fields() {
+        let sc = scenario_with(QosRequirement::none().with_min_throughput(1.0));
+        let mut report = evaluate(&sc, &stats(10, 10, &[100, 200]));
+        let hostile = || String::from("a\"b\\c\nd\u{1}e");
+        (report.scenario, report.load) = (hostile(), hostile());
+        let c = &mut report.clauses[0];
+        (c.name, c.bound, c.achieved) = (hostile(), hostile(), hostile());
+        let json = report.to_json();
+        assert!(json.starts_with(r#"{"scenario":"a\"b\\c\nd\u0001e","seed":1,"#));
+        assert_eq!(
+            json.matches(r#":"a\"b\\c\nd\u0001e","#).count(),
+            5,
+            "{json}"
+        );
     }
 }

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Guard the migrated cluster with a pool of backup locations;
     // checkpoint; then crash BOTH the node and its first backup. The
     // failover target is selected automatically — recovery skips the
-    // dead pool head and lands on the spare, no `set_backup` needed.
+    // dead pool head and lands on the spare.
     let mut guard = FailureGuard::new(
         (target, target_capsule, new_cluster),
         (backup, backup_capsule),
