@@ -11,10 +11,6 @@
 //! ```text
 //! cargo run --release -p rmodp-bench --bin chaos_bench -- [--seed N] [output-path]
 //! ```
-//!
-//! Everything runs on virtual time with seeded RNGs, so the same seed
-//! produces a byte-identical file — CI runs the binary twice and
-//! compares.
 
 fn main() {
     let args = rmodp_bench::cli::parse(4_242, "target/BENCH_chaos.json", &[]);

@@ -4,7 +4,7 @@
 //! distribution, fenced-write/quorum-loss counters, and the group
 //! consistency oracle's verdict (schema `rmodp-bench-failover/1`,
 //! documented in `EXPERIMENTS.md` §E14). The suite itself lives in
-//! [`rmodp_bench::failover_suite`] so the integration tests can run it
+//! [`rmodp_bench::failover_suite`] so the golden test can run it
 //! in-process.
 //!
 //! Usage:
@@ -12,10 +12,6 @@
 //! ```text
 //! cargo run --release -p rmodp-bench --bin failover_bench -- [--seed N] [output-path]
 //! ```
-//!
-//! Everything runs on virtual time with seeded RNGs, so the same seed
-//! produces a byte-identical file — CI runs the binary twice and
-//! compares.
 
 fn main() {
     let args = rmodp_bench::cli::parse(4_242, "target/BENCH_failover.json", &[]);

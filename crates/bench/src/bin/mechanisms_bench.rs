@@ -2,7 +2,7 @@
 //! allocation-light invocation path, emitting `BENCH_mechanisms.json`
 //! (schema `rmodp-bench-mechanisms/1`, documented in `EXPERIMENTS.md`).
 //! The suite itself lives in [`rmodp_bench::mechanisms`] so the
-//! determinism test can run it in-process.
+//! golden test can run it in-process.
 //!
 //! Usage:
 //!
@@ -10,10 +10,7 @@
 //! cargo run --release -p rmodp-bench --bin mechanisms_bench -- [--seed N] [output-path]
 //! ```
 //!
-//! The default output path is `target/BENCH_mechanisms.json`. Every
-//! figure in the file derives from virtual time or metered counters —
-//! wall-clock rates go to stdout only — so the same seed produces a
-//! byte-identical file: CI runs the binary twice and compares.
+//! The default output path is `target/BENCH_mechanisms.json`.
 
 fn main() {
     let args = rmodp_bench::cli::parse(

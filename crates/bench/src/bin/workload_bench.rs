@@ -12,8 +12,7 @@
 //!
 //! The default output path is `target/BENCH_workload.json` and the
 //! default seed `1000` (each scenario runs at a fixed offset from the
-//! base). Everything runs on virtual time, so the same seed produces a
-//! byte-identical file — CI runs the binary twice and compares.
+//! base).
 
 fn main() {
     let args = rmodp_bench::cli::parse(

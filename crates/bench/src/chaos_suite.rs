@@ -6,9 +6,8 @@
 //! partitions and crashes, and the circuit-breaker lifecycle (schema
 //! `rmodp-bench-chaos/1`, documented in `EXPERIMENTS.md`). Everything
 //! runs on virtual time with seeded RNGs, so the same seed produces a
-//! byte-identical document — the golden test in `tests/golden.rs`
-//! compares it against the committed fixture, and CI runs the binary
-//! twice and compares.
+//! byte-identical document — the golden test in `tests/golden.rs` and
+//! CI compare it with `tests/baselines/BENCH_chaos.json`.
 
 use rmodp_chaos::prelude::*;
 use rmodp_core::codec::SyntaxId;

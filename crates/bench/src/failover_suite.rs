@@ -14,7 +14,7 @@
 //! Everything runs on virtual time with seeded RNGs: probe timeouts,
 //! election fan-outs, and partition windows all consume deterministic
 //! virtual time, so the same seed produces a byte-identical document —
-//! CI runs the binary twice and compares.
+//! the golden test and CI compare it with its baseline.
 
 use rmodp_chaos::prelude::*;
 use rmodp_core::codec::SyntaxId;

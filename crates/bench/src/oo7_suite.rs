@@ -20,7 +20,7 @@
 //! `rmodp-bench-oo7/1`, documented in `EXPERIMENTS.md` §E13) derives
 //! from deterministic counts and a virtual cost model — wall-clock
 //! rates go to stdout only — so the file is byte-identical across
-//! same-seed reruns. CI runs the binary twice and diffs the bytes.
+//! same-seed reruns; the golden test and CI compare it with its baseline.
 
 use std::time::Instant;
 

@@ -4,8 +4,8 @@
 //! `BENCH_workload.json` document (schema `rmodp-bench-workload/1`,
 //! documented in `EXPERIMENTS.md`). Everything runs on virtual time with
 //! fixed seeds, so the returned string is byte-identical across runs —
-//! the golden test in `tests/golden.rs` compares it against the
-//! committed fixture, and CI runs the binary twice and compares.
+//! the golden test in `tests/golden.rs` and CI compare it with
+//! `tests/baselines/BENCH_workload.json`.
 
 use std::time::Duration;
 
